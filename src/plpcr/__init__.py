@@ -26,6 +26,7 @@ from .errors import (
 )
 from .inference import (
     BayesPoints,
+    Cells,
     EstimateRow,
     EstimateTable,
     Method,
@@ -39,12 +40,12 @@ from .inference import (
     build_estimate_table,
     cmle,
     credible_interval,
+    fit,
     jeffreys_posterior,
     log_likelihood,
     mle_distinct,
     mle_shared_shape,
     reference_posterior,
-    wald_interval,
 )
 from .model import (
     PlpCauseParams,
@@ -53,8 +54,6 @@ from .model import (
     cumulative_intensity,
     intensity,
     mu_from_alpha,
-    system_cumulative_intensity,
-    system_intensity,
 )
 from .montecarlo import (
     McReport,
@@ -74,7 +73,6 @@ from .numerics import (
     normal_quantile,
     reg_gamma_p,
     sample_poisson,
-    sample_uniform,
 )
 
 __version__ = "0.1.0"

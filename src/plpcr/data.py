@@ -122,7 +122,9 @@ def parse_history(text: str, truncation_time: float,
             raise ValidationError(f"line {line_no}: non-integer cause {cause_text!r}") from None
         if cause < 1:
             raise ValidationError(f"line {line_no}: cause must be >= 1, got {cause}")
-        if not (math.isfinite(time) and 0.0 < time):
+        if not math.isfinite(time):
+            raise ValidationError(f"line {line_no}: time must be finite, got {time_text!r}")
+        if time <= 0.0:
             raise ValidationError(f"line {line_no}: time must be positive, got {time_text!r}")
         if time >= truncation_time:
             raise ValidationError(

@@ -14,12 +14,19 @@ The gamma MAP of the shared beta marginal reproduces the bias-corrected point
 exactly, so the Bayes and CMLE point estimates coincide for beta; for alpha
 all methods use the unbiased count n_j.  Under the shared-shape model the
 Jeffreys posterior has no closed form and is refused explicitly.
+
+Every cell of an estimate table or a replication study comes from one
+elementwise kernel, ``fit``, over arrays of counts and log sums; the
+estimator functions are its reference implementations.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
+
+import numpy as np
 
 from .data import CauseStats, FailureHistory, cause_stats
 from .errors import (
@@ -30,7 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .model import SystemParams, mu_from_alpha
-from .numerics import GammaParams, gamma_quantile, normal_quantile
+from .numerics import GammaParams, _std_gamma_quantile, gamma_quantile, normal_quantile
 
 
 class Model(str, Enum):
@@ -79,6 +86,7 @@ class PosteriorSpec:
     model: Model
     beta_laws: tuple[GammaParams, ...]
     alpha_laws: tuple[GammaParams, ...]
+    counts: tuple[int, ...]
 
     def law_for(self, parameter: str) -> GammaParams:
         kind, index = _resolve_parameter(parameter, len(self.alpha_laws),
@@ -86,12 +94,6 @@ class PosteriorSpec:
         if kind == "beta":
             return self.beta_laws[0 if self.model is Model.SHARED else index - 1]
         return self.alpha_laws[index - 1]
-
-    def counts(self) -> tuple[int, ...]:
-        # alpha shapes are n_j + 1/2 (reference) or n_j + 1 (Jeffreys); both
-        # offsets are exact in binary, so the counts recover exactly.
-        offset = 0.5 if self.prior_family is PriorFamily.REFERENCE else 1.0
-        return tuple(int(law.shape - offset) for law in self.alpha_laws)
 
 
 @dataclass(frozen=True)
@@ -233,7 +235,8 @@ def reference_posterior(stats: CauseStats, model: Model = Model.DISTINCT) -> Pos
     """
     _check_proper(stats, "reference")
     alpha_laws = tuple(GammaParams(n + 0.5, 1.0) for n in stats.counts)
-    return PosteriorSpec(PriorFamily.REFERENCE, model, _beta_laws(stats, model), alpha_laws)
+    return PosteriorSpec(PriorFamily.REFERENCE, model, _beta_laws(stats, model), alpha_laws,
+                         stats.counts)
 
 
 def jeffreys_posterior(stats: CauseStats, model: Model = Model.DISTINCT) -> PosteriorSpec:
@@ -249,7 +252,8 @@ def jeffreys_posterior(stats: CauseStats, model: Model = Model.DISTINCT) -> Post
             "use the reference posterior for pooled-shape inference")
     _check_proper(stats, "Jeffreys")
     alpha_laws = tuple(GammaParams(n + 1.0, 1.0) for n in stats.counts)
-    return PosteriorSpec(PriorFamily.JEFFREYS, Model.DISTINCT, _beta_laws(stats, model), alpha_laws)
+    return PosteriorSpec(PriorFamily.JEFFREYS, Model.DISTINCT, _beta_laws(stats, model), alpha_laws,
+                         stats.counts)
 
 
 def alpha_laws_from_counts(counts: tuple[int, ...] | list[int],
@@ -285,7 +289,7 @@ def bayes_points(post: PosteriorSpec,
     else:
         beta = tuple(law.mean for law in post.beta_laws)
         degenerate = tuple(False for _ in post.beta_laws)
-    alpha = tuple(float(n) for n in post.counts())
+    alpha = tuple(float(n) for n in post.counts)
     return BayesPoints(convention, beta, alpha, degenerate)
 
 
@@ -296,34 +300,6 @@ def credible_interval(post: PosteriorSpec, parameter: str, level: float) -> tupl
     lo = gamma_quantile(law, (1.0 - level) / 2.0)
     hi = gamma_quantile(law, (1.0 + level) / 2.0)
     return lo, hi
-
-
-def wald_interval(stats: CauseStats, method: Method, parameter: str, level: float,
-                  model: Model = Model.DISTINCT) -> tuple[float, float]:
-    """Asymptotic normal interval around the ML or bias-corrected point.
-
-    Standard errors come from the diagonal observed information evaluated at
-    the point: se(beta) = point / sqrt(n_j) and se(alpha) = sqrt(n_j).  The
-    interval is reported as-is, without truncation at 0.
-    """
-    if method not in (Method.MLE, Method.CMLE):
-        raise DomainError(f"wald_interval supports mle/cmle, got {method!r}")
-    _check_level(level)
-    kind, index = _resolve_parameter(parameter, stats.num_causes,
-                                     pooled_beta=model is Model.SHARED)
-    if method is Method.MLE:
-        estimates = mle_distinct(stats) if model is Model.DISTINCT else mle_shared_shape(stats)
-    else:
-        estimates = cmle(stats, model)
-    if kind == "beta":
-        point = estimates.beta[0 if model is Model.SHARED else index - 1]
-        count = stats.n if model is Model.SHARED else stats.counts[index - 1]
-        se = point / math.sqrt(count)
-    else:
-        point = estimates.alpha[index - 1]
-        se = math.sqrt(stats.counts[index - 1])
-    z = normal_quantile((1.0 + level) / 2.0)
-    return point - z * se, point + z * se
 
 
 def log_likelihood(params: SystemParams, history: FailureHistory) -> float:
@@ -350,16 +326,70 @@ def log_likelihood(params: SystemParams, history: FailureHistory) -> float:
     return total
 
 
-def _posterior_for(method: Method, stats: CauseStats, model: Model) -> PosteriorSpec:
-    if method is Method.JEFFREYS:
-        return jeffreys_posterior(stats, model)
-    return reference_posterior(stats, model)
+class Cells(NamedTuple):
+    """Estimate cells of one parameter family, one entry per input element."""
+
+    point: np.ndarray
+    sd: np.ndarray
+    sd_paper_compat: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
 
-def _restrict(stats: CauseStats, keep: list[int]) -> CauseStats:
-    return CauseStats(tuple(stats.counts[j - 1] for j in keep),
-                      tuple(stats.log_sums[j - 1] for j in keep),
-                      stats.truncation_time)
+# The alpha posterior of cause j is Gamma(n_j + offset, 1).
+_ALPHA_SHAPE_OFFSET = {Method.JEFFREYS: 1.0, Method.REFERENCE: 0.5}
+
+
+def _std_quantiles(shapes: np.ndarray, q: float) -> np.ndarray:
+    # Shapes are small counts that repeat, so the cache answers nearly every call.
+    return np.reshape([_std_gamma_quantile(a, q) for a in shapes.ravel().tolist()],
+                      shapes.shape)
+
+
+def _wald(point: np.ndarray, sd: np.ndarray, level: float) -> Cells:
+    z = normal_quantile((1.0 + level) / 2.0)
+    return Cells(point, sd, sd, point - z * sd, point + z * sd)
+
+
+def _beta_cells(method: Method, n: np.ndarray, s: np.ndarray, level: float,
+                convention: PointConvention) -> Cells:
+    if not (np.all(n >= 1.0) and np.all((s > 0.0) & (s < math.inf))):
+        raise DomainError("beta cells need counts >= 1 and positive finite log sums, "
+                          f"got counts {n.tolist()!r} and log sums {s.tolist()!r}")
+    if method is Method.MLE or method is Method.CMLE:
+        point = (n if method is Method.MLE else n - 1.0) / s
+        return _wald(point, point / np.sqrt(n), level)
+    if method not in _ALPHA_SHAPE_OFFSET:
+        raise DomainError(f"unknown method {method!r}")
+    # The beta marginal Gamma(n, S); its mode (n - 1) / S is 0 at n = 1.
+    point = (n - 1.0 if convention is PointConvention.MAP else n) / s
+    sd = np.sqrt(n) / s
+    return Cells(point, sd, sd, _std_quantiles(n, (1.0 - level) / 2.0) / s,
+                 _std_quantiles(n, (1.0 + level) / 2.0) / s)
+
+
+def _alpha_cells(method: Method, n: np.ndarray, level: float) -> Cells:
+    if method is Method.MLE or method is Method.CMLE:
+        return _wald(n, np.sqrt(n), level)
+    shape = n + _ALPHA_SHAPE_OFFSET[method]
+    return Cells(n, np.sqrt(shape), np.sqrt(n), _std_quantiles(shape, (1.0 - level) / 2.0),
+                 _std_quantiles(shape, (1.0 + level) / 2.0))
+
+
+def fit(method: Method, counts, log_sums, level: float,
+        convention: PointConvention = PointConvention.MAP) -> tuple[Cells, Cells]:
+    """The fitting kernel: (beta cells, alpha cells) of one method, elementwise
+    over equal-shape arrays of counts n >= 1 and positive log sums S.
+
+    mle/cmle: points n/S or (n-1)/S and n, Wald intervals with se point/sqrt(n)
+    and sqrt(n), not truncated at 0.  jeffreys/reference: equal-tail credible
+    intervals of Gamma(n, S) and Gamma(n + 1 or n + 1/2, 1), the posterior
+    mode (map) or mean as the beta point and n as the alpha point.
+    """
+    _check_level(level)
+    n = np.asarray(counts, dtype=float)
+    return (_beta_cells(method, n, np.asarray(log_sums, dtype=float), level, convention),
+            _alpha_cells(method, n, level))
 
 
 def build_estimate_table(stats: CauseStats,
@@ -372,20 +402,20 @@ def build_estimate_table(stats: CauseStats,
 
     Causes that fail a method's existence condition (no failures, or a single
     failure for the bias-corrected method) are excluded from that method's
-    rows and reported in the warnings instead of aborting the other causes.
-    Raises EstimationError when nothing at all is estimable.
+    rows and reported in the warnings instead of aborting the other causes,
+    as is a MAP beta point of 0 (a single failure).  Raises EstimationError
+    when nothing at all is estimable.
     """
     _check_level(level)
     if stats.n == 0:
         raise EstimationError("no failures observed")
-    warnings: list[str] = []
+    pooled = model is Model.SHARED
     usable = [j for j in range(1, stats.num_causes + 1) if stats.counts[j - 1] >= 1]
-    for j in range(1, stats.num_causes + 1):
-        if stats.counts[j - 1] == 0:
-            warnings.append(f"cause {j}: no failures observed; excluded from estimation")
+    warnings = [f"cause {j}: no failures observed; excluded from estimation"
+                for j in range(1, stats.num_causes + 1) if stats.counts[j - 1] == 0]
     method_causes: dict[Method, list[int]] = {}
     for method in methods:
-        if method is Method.JEFFREYS and model is Model.SHARED:
+        if method is Method.JEFFREYS and pooled:
             if set(methods) != set(ALL_METHODS):
                 raise UnsupportedModelError(
                     "the shared-shape Jeffreys posterior has no closed form")
@@ -394,63 +424,48 @@ def build_estimate_table(stats: CauseStats,
             method_causes[method] = []
             continue
         if method is Method.CMLE:
-            if model is Model.SHARED:
+            if pooled:
                 keep = usable if stats.n >= 2 else []
                 if not keep:
                     warnings.append("fewer than 2 failures in total; bias-corrected "
                                     "rows omitted")
             else:
                 keep = [j for j in usable if stats.counts[j - 1] >= 2]
-                for j in usable:
-                    if j not in keep:
-                        warnings.append(f"cause {j}: single failure; bias-corrected "
-                                        "estimate degenerates at 0; excluded from cmle rows")
+                warnings.extend(f"cause {j}: single failure; bias-corrected estimate "
+                                "degenerates at 0; excluded from cmle rows"
+                                for j in usable if j not in keep)
             method_causes[method] = keep
         else:
             method_causes[method] = usable
-    rows: list[EstimateRow] = []
-    z = normal_quantile((1.0 + level) / 2.0)
-    parameters: list[tuple[str, int]] = []
-    if model is Model.SHARED:
-        parameters.append(("beta", 0))
-    else:
-        parameters.extend(("beta", j) for j in usable)
-    parameters.extend(("alpha", j) for j in usable)
-    for kind, j in parameters:
-        name = kind if j == 0 else f"{kind}_{j}"
-        for method in methods:
-            keep = method_causes[method]
-            if not keep or (j != 0 and j not in keep):
-                continue
-            sub = _restrict(stats, keep)
-            local = 0 if j == 0 else keep.index(j)
-            n_j = sub.n if j == 0 else sub.counts[local]
-            if method in (Method.MLE, Method.CMLE):
-                est = (mle_distinct(sub) if model is Model.DISTINCT else
-                       mle_shared_shape(sub)) if method is Method.MLE else cmle(sub, model)
-                if kind == "beta":
-                    point = est.beta[0 if model is Model.SHARED else local]
-                    sd = point / math.sqrt(n_j)
-                    compat = sd
-                else:
-                    point = est.alpha[local]
-                    sd = math.sqrt(n_j)
-                    compat = sd
-                lo, hi = point - z * sd, point + z * sd
-            else:
-                post = _posterior_for(method, sub, model)
-                points = bayes_points(post, convention)
-                if kind == "beta":
-                    law = post.beta_laws[0 if model is Model.SHARED else local]
-                    point = points.beta[0 if model is Model.SHARED else local]
-                    sd = law.sd
-                    compat = sd
-                else:
-                    law = post.alpha_laws[local]
-                    point = points.alpha[local]
-                    sd = law.sd
-                    compat = math.sqrt(n_j)
-                lo = gamma_quantile(law, (1.0 - level) / 2.0)
-                hi = gamma_quantile(law, (1.0 + level) / 2.0)
-            rows.append(EstimateRow(name, method, point, sd, compat, lo, hi, level))
-    return EstimateTable(tuple(rows), tuple(warnings))
+    if convention is PointConvention.MAP and any(
+            method_causes[m] for m in methods if m in _ALPHA_SHAPE_OFFSET):
+        if pooled:
+            single = ["beta"] if stats.n == 1 else []
+        else:
+            single = [f"cause {j}" for j in usable if stats.counts[j - 1] == 1]
+        warnings.extend(f"{label}: single failure; the MAP beta point is 0 (posterior mode "
+                        "at the boundary); use --point mean for the posterior mean"
+                        for label in single)
+    names = ["beta"] if pooled else [f"beta_{j}" for j in usable]
+    names += [f"alpha_{j}" for j in usable]
+    cells: dict[tuple[str, Method], tuple[float, ...]] = {}
+    for method in methods:
+        keep = method_causes[method]
+        if not keep:
+            continue
+        counts = np.array([stats.counts[j - 1] for j in keep], dtype=float)
+        log_sums = [stats.log_sums[j - 1] for j in keep]
+        if pooled:
+            beta = _beta_cells(method, np.array([float(stats.n)]),
+                               np.array([math.fsum(log_sums)]), level, convention)
+            alpha = _alpha_cells(method, counts, level)
+        else:
+            beta, alpha = fit(method, counts, log_sums, level, convention)
+        beta_names = ["beta"] if pooled else [f"beta_{j}" for j in keep]
+        for family_names, family in ((beta_names, beta), ([f"alpha_{j}" for j in keep], alpha)):
+            # tolist() gives Python floats, whose repr the csv rendering relies on.
+            for name, row in zip(family_names, zip(*(c.tolist() for c in family))):
+                cells[name, method] = row
+    rows = tuple(EstimateRow(name, method, *cells[name, method], level)
+                 for name in names for method in methods if (name, method) in cells)
+    return EstimateTable(rows, tuple(warnings))

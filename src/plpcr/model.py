@@ -39,7 +39,6 @@ class SystemParams:
 
     causes: tuple[PlpCauseParams, ...]
     truncation_time: float
-    shared_shape: bool = False
 
     def __post_init__(self) -> None:
         if len(self.causes) < 1:
@@ -48,10 +47,6 @@ class SystemParams:
         ids = [c.cause_id for c in self.causes]
         if ids != list(range(1, len(ids) + 1)):
             raise DomainError(f"cause_id values must be contiguous 1..p, got {ids}")
-        if self.shared_shape:
-            betas = {c.beta for c in self.causes}
-            if len(betas) > 1:
-                raise DomainError("shared_shape requires all causes to have equal beta")
 
     @property
     def num_causes(self) -> int:
@@ -94,12 +89,3 @@ def alpha_from_mu(beta: float, mu: float, T: float) -> float:
     _require_positive("T", T)
     return (T / mu) ** beta
 
-
-def system_intensity(system: SystemParams, t: float) -> float:
-    """Superposed intensity: sum of the cause-specific intensities at t."""
-    return sum(intensity(c, system.truncation_time, t) for c in system.causes)
-
-
-def system_cumulative_intensity(system: SystemParams, t: float) -> float:
-    """Superposed expected count on (0, t]; equals sum of alphas at t = T."""
-    return sum(cumulative_intensity(c, system.truncation_time, t) for c in system.causes)

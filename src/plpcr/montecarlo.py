@@ -14,24 +14,15 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import FailureHistory, FailureRecord, cause_stats
 from .errors import DomainError, StudyError, ValidationError
-from .inference import (
-    ALL_METHODS,
-    Method,
-    Model,
-    bayes_points,
-    cmle,
-    credible_interval,
-    jeffreys_posterior,
-    mle_distinct,
-    reference_posterior,
-    wald_interval,
-)
+from .inference import ALL_METHODS, Method, fit
 from .model import PlpCauseParams, SystemParams
 from .numerics import RandomSource, sample_poisson
 
@@ -123,15 +114,27 @@ class McReport:
         raise KeyError(f"no row for ({parameter}, {method})")
 
 
+def _number(key: str, value, integral: bool = False):
+    # Integral floats such as 1e4 pass as whole numbers; 3.7 is refused, not truncated.
+    if integral and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, numbers.Integral if integral else numbers.Real):
+        kind = "an integer" if integral else "a number"
+        raise ValidationError(f"{key} must be {kind}, got {value!r}")
+    return int(value) if integral else float(value)
+
+
 def make_scenario(betas, alphas, T, replications=10_000, seed=42, level=0.95,
                   name=None) -> Scenario:
-    """Convenience constructor from parallel beta/alpha sequences."""
+    """Convenience constructor from parallel beta/alpha sequences; a value of
+    the wrong type, or a non-integral replication count or seed, is refused."""
     if len(betas) != len(alphas):
         raise DomainError("beta and alpha sequences must have equal length")
-    causes = tuple(PlpCauseParams(float(b), float(a), j)
+    causes = tuple(PlpCauseParams(_number("beta", b), _number("alpha", a), j)
                    for j, (b, a) in enumerate(zip(betas, alphas), start=1))
-    return Scenario(SystemParams(causes, float(T)), int(replications), int(seed),
-                    float(level), name)
+    return Scenario(SystemParams(causes, _number("T", T)),
+                    _number("replications", replications, integral=True),
+                    _number("seed", seed, integral=True), _number("level", level), name)
 
 
 #: The five study presets exercised throughout the package's reports.
@@ -220,45 +223,40 @@ def _chunk_sums(scenario: Scenario, methods: tuple[Method, ...],
                 start: int, stop: int):
     """Accumulate sums of theta_hat/theta, (theta_hat-theta)^2, and coverage
     hits for replications [start, stop), in replication order."""
-    system = scenario.params
-    p = system.num_causes
-    truth = _true_vector(system)
-    names = _parameter_names(system)
-    level = scenario.level
-    n_params = 2 * p
-    n_methods = len(methods)
-    rel = np.zeros((n_methods, n_params))
-    sq = np.zeros((n_methods, n_params))
-    cover = np.zeros((n_methods, n_params))
-    used = 0
-    discarded = 0
+    counts = np.empty((stop - start, scenario.params.num_causes))
+    log_sums = np.empty_like(counts)
+    used = discarded = 0
     for r in range(start, stop):
-        rng = RandomSource(scenario.master_seed, r)
-        history = simulate_history(scenario, rng)
-        stats = cause_stats(history)
+        stats = cause_stats(simulate_history(scenario, RandomSource(scenario.master_seed, r)))
         if min(stats.counts) < 2:
             discarded += 1
             continue
+        counts[used], log_sums[used] = stats.counts, stats.log_sums
         used += 1
+    truth = np.array(_true_vector(scenario.params))
+    rel = np.zeros((len(methods), truth.size))
+    sq = np.zeros_like(rel)
+    cover = np.zeros_like(rel)
+    if used:
         for m, method in enumerate(methods):
-            if method in (Method.MLE, Method.CMLE):
-                est = mle_distinct(stats) if method is Method.MLE else cmle(stats, Model.DISTINCT)
-                points = list(est.beta) + list(est.alpha)
-                intervals = [wald_interval(stats, method, name, level) for name in names]
-            else:
-                post = (jeffreys_posterior(stats) if method is Method.JEFFREYS
-                        else reference_posterior(stats))
-                pts = bayes_points(post)
-                points = list(pts.beta) + list(pts.alpha)
-                intervals = [credible_interval(post, name, level) for name in names]
-            for k in range(n_params):
-                theta = truth[k]
-                theta_hat = points[k]
-                rel[m, k] += theta_hat / theta
-                sq[m, k] += (theta_hat - theta) ** 2
-                lo, hi = intervals[k]
-                cover[m, k] += 1.0 if lo <= theta <= hi else 0.0
+            beta, alpha = fit(method, counts[:used], log_sums[:used], scenario.level)
+            point = np.hstack((beta.point, alpha.point))
+            lo = np.hstack((beta.lo, alpha.lo))
+            hi = np.hstack((beta.hi, alpha.hi))
+            # Sums run in replication order (cumsum; np.sum may add pairwise),
+            # and float_power calls the C pow per element as Python's ** does
+            # (numpy's ** 2 multiplies): the reports' bits depend on both.
+            rel[m] = np.cumsum(point / truth, axis=0)[-1]
+            sq[m] = np.cumsum(np.float_power(point - truth, 2.0), axis=0)[-1]
+            cover[m] = np.cumsum((lo <= truth) & (truth <= hi), axis=0)[-1]
     return rel, sq, cover, used, discarded
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_study(scenario: Scenario, methods: tuple[Method, ...] = ALL_METHODS,
@@ -267,7 +265,8 @@ def run_study(scenario: Scenario, methods: tuple[Method, ...] = ALL_METHODS,
 
     Raises StudyError when every replication was discarded.  Results are a
     pure function of the scenario (including master_seed) and the method set;
-    see the module docstring for why worker count cannot change them.
+    see the module docstring for why worker count cannot change them.  The
+    pool gets at most one process per chunk and per usable CPU.
     """
     if not methods:
         raise DomainError("at least one method is required")
@@ -276,7 +275,8 @@ def run_study(scenario: Scenario, methods: tuple[Method, ...] = ALL_METHODS,
     methods = tuple(methods)
     M = scenario.replications
     chunks = [(start, min(start + _CHUNK, M)) for start in range(0, M, _CHUNK)]
-    if workers == 1 or len(chunks) == 1:
+    workers = min(workers, len(chunks), _usable_cpus())
+    if workers == 1:
         partials = [_chunk_sums(scenario, methods, a, b) for a, b in chunks]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

@@ -258,11 +258,6 @@ class RandomSource:
         return out
 
 
-def sample_uniform(rng: RandomSource) -> float:
-    """Uniform(0, 1) variate, never exactly 0 (downstream code takes powers 1/beta)."""
-    return rng.uniform()
-
-
 def sample_poisson(mean: float, rng: RandomSource) -> int:
     """Poisson variate by CDF inversion (mean < 30) or PTRS rejection above."""
     if not (isinstance(mean, (int, float)) and math.isfinite(mean) and mean >= 0.0):

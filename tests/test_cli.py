@@ -119,6 +119,20 @@ class TestFit:
         rows = {r["parameter"]: r for r in _parse_csv(out)}
         assert float(rows["alpha_2"]["point"]) == 24.0
 
+    def test_map_beta_of_zero_warns(self, capsys, tmp_path):
+        path = tmp_path / "two.csv"
+        path.write_text("time,cause\n1.0,1\n2.0,2\n", encoding="utf-8")
+        argv = ["fit", "--input", str(path), "--truncation", "10", "--prior", "reference"]
+        code, out, err = _run(capsys, argv)
+        assert code == 0
+        assert out.splitlines()[1].split()[:3] == ["beta_1", "reference", "0.000"]
+        warnings = [json.loads(line)["warning"] for line in err.splitlines()]
+        for j in (1, 2):
+            assert any(w.startswith(f"cause {j}:") and "--point mean" in w for w in warnings)
+        code, _, err = _run(capsys, argv + ["--point", "mean"])
+        assert code == 0
+        assert err == ""
+
     def test_unknown_method_errors(self, capsys):
         code, _, err = _run(capsys, ["fit", "--fixtures", "harvester",
                                      "--methods", "bogus"])
@@ -142,6 +156,20 @@ class TestSimulate:
         code, out, _ = _run(capsys, ["simulate", "--scenario", str(path)])
         assert code == 0
         assert "# replications=256" in out
+
+    @pytest.mark.parametrize("line", ['replications = "many"', "T = 'x'", "seed = 1.9",
+                                      "replications = 3.7"])
+    def test_bad_scenario_value_errors(self, capsys, tmp_path, line):
+        path = tmp_path / "bad.scenario"
+        path.write_text("beta = [1.5, 1.0]\nalpha = [6.45, 2.75]\nT = 5.5\n"
+                        f"replications = 64\n{line}\n", encoding="utf-8")
+        code, out, err = _run(capsys, ["simulate", "--scenario", str(path)])
+        assert code == 1
+        assert out == ""
+        (line_out,) = err.splitlines()
+        record = json.loads(line_out)["error"]
+        assert record["type"] == "ValidationError"
+        assert line.split()[0] in record["message"]
 
     def test_unknown_scenario_errors(self, capsys):
         code, _, err = _run(capsys, ["simulate", "--scenario", "scenario99"])

@@ -58,8 +58,11 @@ class TestParseHistory:
             parse_history("time,cause\n1.0,1.5\n", 10.0)
 
     def test_nonpositive_time_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="positive"):
             parse_history(_csv([(-3.0, 1)]), 10.0)
+        for text in ("1e400", "inf", "nan"):
+            with pytest.raises(ValidationError, match="line 2: time must be finite"):
+                parse_history(f"time,cause\n{text},1\n", 10.0)
 
     def test_missing_header_rejected(self):
         with pytest.raises(ValidationError, match="header"):

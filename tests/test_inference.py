@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plpcr.data import FailureHistory, FailureRecord, cause_stats, harvester_fixture
+from plpcr.data import CauseStats, FailureHistory, FailureRecord, cause_stats, harvester_fixture
 from plpcr.errors import (
     DomainError,
     EstimationError,
@@ -26,15 +28,15 @@ from plpcr.inference import (
     build_estimate_table,
     cmle,
     credible_interval,
+    fit,
     jeffreys_posterior,
     log_likelihood,
     mle_distinct,
     mle_shared_shape,
     reference_posterior,
-    wald_interval,
 )
 from plpcr.model import PlpCauseParams, SystemParams, cumulative_intensity, intensity
-from plpcr.numerics import RandomSource
+from plpcr.numerics import RandomSource, normal_quantile
 
 E = math.e
 
@@ -310,6 +312,8 @@ class TestCredibleInterval:
 
 
 class TestWaldInterval:
+    """The kernel's Wald cells for mle and cmle."""
+
     @staticmethod
     def _stats_with(n: int, beta_hat: float, T: float = 100.0):
         # n records engineered so that S = n / beta_hat.
@@ -321,9 +325,14 @@ class TestWaldInterval:
         np.testing.assert_allclose(stats.log_sums[0], target, rtol=1e-6)
         return stats
 
+    @staticmethod
+    def _interval(stats, method: Method, family: int, level: float):
+        cells = fit(method, stats.counts, stats.log_sums, level)[family]
+        return cells.lo[0], cells.hi[0]
+
     def test_mle_beta_interval(self):
         stats = self._stats_with(100, 1.0)
-        lo, hi = wald_interval(stats, Method.MLE, "beta_1", 0.95)
+        lo, hi = self._interval(stats, Method.MLE, 0, 0.95)
         bhat = 100.0 / stats.log_sums[0]
         z = 1.959963984540054  # standard normal 97.5% point
         assert abs(lo - (bhat - z * bhat / 10.0)) < 1e-9
@@ -335,7 +344,7 @@ class TestWaldInterval:
         T = 10.0
         rows = [(T * (i + 1) / 26.0, 1) for i in range(25)]
         stats = cause_stats(_history(rows, T))
-        lo, hi = wald_interval(stats, Method.MLE, "alpha_1", 0.95)
+        lo, hi = self._interval(stats, Method.MLE, 1, 0.95)
         assert abs(lo - (25.0 - 1.959963984540054 * 5.0)) < 1e-9
         assert abs(hi - (25.0 + 1.959963984540054 * 5.0)) < 1e-9
         assert abs(lo - 15.2) < 0.1
@@ -345,7 +354,7 @@ class TestWaldInterval:
         stats = self._stats_with(10, 1.0)
         bhat = 10.0 / stats.log_sums[0]
         corrected = 0.9 * bhat
-        lo, hi = wald_interval(stats, Method.CMLE, "beta_1", 0.95)
+        lo, hi = self._interval(stats, Method.CMLE, 0, 0.95)
         z = 1.959963984540054
         assert abs((lo + hi) / 2.0 - corrected) < 1e-9
         assert abs((hi - lo) / 2.0 - z * corrected / math.sqrt(10.0)) < 1e-9
@@ -353,12 +362,78 @@ class TestWaldInterval:
     def test_interval_not_truncated_at_zero(self):
         T = 10.0
         stats = cause_stats(_history([(T / E, 1), (T / E**2, 1)], T))
-        lo, _ = wald_interval(stats, Method.MLE, "alpha_1", 0.99)
+        lo, _ = self._interval(stats, Method.MLE, 1, 0.99)
         assert lo < 0.0
 
-    def test_rejects_bayes_methods(self):
+
+class TestFitKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(causes=st.lists(st.tuples(st.integers(1, 300), st.floats(1e-3, 1e4)),
+                           min_size=1, max_size=4),
+           level=st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99]),
+           convention=st.sampled_from(list(PointConvention)))
+    def test_cells_equal_library_estimators(self, causes, level, convention):
+        # Same arithmetic as the reference functions, so equal to the bit.
+        counts = tuple(n for n, _ in causes)
+        log_sums = tuple(s for _, s in causes)
+        stats = CauseStats(counts, log_sums, 1.0)
+        z = normal_quantile((1.0 + level) / 2.0)
+        references = [(Method.MLE, mle_distinct(stats))]
+        if min(counts) >= 2:
+            references.append((Method.CMLE, cmle(stats)))
+        for method, est in references:
+            beta, alpha = fit(method, counts, log_sums, level, convention)
+            assert beta.point.tolist() == list(est.beta)
+            assert alpha.point.tolist() == list(est.alpha)
+            for cells, se in ((beta, [b / math.sqrt(n) for b, n in zip(est.beta, counts)]),
+                              (alpha, [math.sqrt(n) for n in counts])):
+                assert cells.sd.tolist() == cells.sd_paper_compat.tolist() == se
+                assert cells.lo.tolist() == [p - z * e for p, e in zip(cells.point, se)]
+                assert cells.hi.tolist() == [p + z * e for p, e in zip(cells.point, se)]
+        for method, post in ((Method.JEFFREYS, jeffreys_posterior(stats)),
+                             (Method.REFERENCE, reference_posterior(stats))):
+            beta, alpha = fit(method, counts, log_sums, level, convention)
+            points = bayes_points(post, convention)
+            assert beta.point.tolist() == list(points.beta)
+            assert alpha.point.tolist() == list(points.alpha)
+            assert beta.sd.tolist() == beta.sd_paper_compat.tolist() == [
+                law.sd for law in post.beta_laws]
+            assert alpha.sd.tolist() == [law.sd for law in post.alpha_laws]
+            assert alpha.sd_paper_compat.tolist() == [math.sqrt(n) for n in counts]
+            for kind, cells in (("beta", beta), ("alpha", alpha)):
+                for j in range(len(counts)):
+                    assert (cells.lo[j], cells.hi[j]) == credible_interval(
+                        post, f"{kind}_{j + 1}", level)
+
+    def test_elementwise_over_replications(self):
+        # A (replications, causes) block gives the cells of each row alone.
+        counts = np.array([[2, 5], [7, 3], [2, 2]])
+        log_sums = np.array([[0.5, 4.0], [3.5, 1.25], [9.0, 0.1]])
+        for method in ALL_METHODS:
+            block = fit(method, counts, log_sums, 0.9)
+            for r in range(counts.shape[0]):
+                single = fit(method, counts[r], log_sums[r], 0.9)
+                for whole, part in zip(block, single):
+                    for a, b in zip(whole, part):
+                        assert a[r].tolist() == b.tolist()
+
+    @pytest.mark.parametrize("log_sum", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_nonpositive_log_sum(self, log_sum):
+        # A library caller can build CauseStats by hand; S_j <= 0 with
+        # failures counted is outside every estimator's domain.
+        stats = CauseStats((1, 2), (log_sum, 1.0), 10.0)
         with pytest.raises(DomainError):
-            wald_interval(_harvester_stats(), Method.REFERENCE, "beta_1", 0.95)
+            build_estimate_table(stats)
+        with pytest.raises(DomainError):
+            fit(Method.MLE, stats.counts, stats.log_sums, 0.95)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(DomainError):
+            fit("wald", (2,), (1.0,), 0.95)
+        with pytest.raises(DomainError):
+            fit(Method.REFERENCE, (0,), (1.0,), 0.95)
+        with pytest.raises(DomainError):
+            fit(Method.MLE, (2,), (1.0,), 1.0)
 
 
 class TestLogLikelihood:
@@ -507,6 +582,19 @@ class TestEstimateTable:
         assert any("jeffreys" in w for w in table.warnings)
         methods_used = {r.method for r in table.rows}
         assert Method.JEFFREYS not in methods_used
+
+    def test_map_beta_of_zero_warns(self):
+        single = cause_stats(_history([(1.0, 1), (2.0, 2), (3.0, 2)], 10.0))
+        flagged = [w for w in build_estimate_table(single).warnings if "MAP" in w]
+        assert len(flagged) == 1
+        assert flagged[0].startswith("cause 1:") and "--point mean" in flagged[0]
+        one = cause_stats(_history([(1.0, 1)], 10.0, p=2))
+        pooled = build_estimate_table(one, model=Model.SHARED).warnings
+        assert any(w.startswith("beta:") and "--point mean" in w for w in pooled)
+        for quiet in (build_estimate_table(single, methods=(Method.MLE, Method.CMLE)),
+                      build_estimate_table(single, convention=PointConvention.MEAN),
+                      build_estimate_table(_harvester_stats(), model=Model.SHARED)):
+            assert not any("MAP" in w for w in quiet.warnings)
 
     def test_shared_model_explicit_jeffreys_rejected(self):
         with pytest.raises(UnsupportedModelError):

@@ -15,7 +15,6 @@ from plpcr.model import (
     cumulative_intensity,
     intensity,
     mu_from_alpha,
-    system_cumulative_intensity,
 )
 
 
@@ -124,21 +123,11 @@ class TestScaleCountConversions:
 
 
 class TestSystemParams:
-    def test_cumulative_sum_at_window_end(self):
-        system = SystemParams(
-            (PlpCauseParams(1.5, 6.45, 1), PlpCauseParams(1.0, 2.75, 2)), 5.5)
-        assert system_cumulative_intensity(system, 5.5) == 6.45 + 2.75
-
     def test_requires_contiguous_ids(self):
         with pytest.raises(DomainError):
             SystemParams((PlpCauseParams(1.0, 1.0, 2),), 1.0)
         with pytest.raises(DomainError):
             SystemParams((PlpCauseParams(1.0, 1.0, 1), PlpCauseParams(1.0, 1.0, 3)), 1.0)
-
-    def test_shared_shape_requires_equal_betas(self):
-        with pytest.raises(DomainError):
-            SystemParams((PlpCauseParams(1.0, 1.0, 1), PlpCauseParams(2.0, 1.0, 2)),
-                         1.0, shared_shape=True)
 
     def test_rejects_invalid_cause_params(self):
         with pytest.raises(DomainError):

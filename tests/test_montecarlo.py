@@ -2,23 +2,37 @@
 pairing/discard bookkeeping, and worker-independent determinism."""
 from __future__ import annotations
 
+import concurrent.futures
 import math
 
 import numpy as np
 import pytest
 
+from plpcr import montecarlo
 from plpcr.data import cause_stats
 from plpcr.errors import DomainError, StudyError, ValidationError
-from plpcr.inference import ALL_METHODS, Method
+from plpcr.inference import (
+    ALL_METHODS,
+    Method,
+    bayes_points,
+    cmle,
+    credible_interval,
+    jeffreys_posterior,
+    mle_distinct,
+    reference_posterior,
+)
 from plpcr.montecarlo import (
+    _CHUNK,
     PRESET_SCENARIOS,
+    McReport,
+    McRow,
     Scenario,
     make_scenario,
     parse_scenario,
     run_study,
     simulate_history,
 )
-from plpcr.numerics import RandomSource
+from plpcr.numerics import RandomSource, normal_quantile
 
 
 class TestSimulateHistory:
@@ -203,3 +217,88 @@ class TestRunStudy:
             run_study(scenario, methods=())
         with pytest.raises(DomainError):
             run_study(scenario, workers=0)
+
+
+def _scalar_study(scenario: Scenario, methods) -> McReport:
+    """The study rebuilt one replication, method and parameter at a time from
+    the library estimators, summed per chunk in replication order."""
+    causes = scenario.params.causes
+    p = len(causes)
+    names = [f"beta_{j}" for j in range(1, p + 1)] + [f"alpha_{j}" for j in range(1, p + 1)]
+    truth = [c.beta for c in causes] + [c.alpha for c in causes]
+    z = normal_quantile((1.0 + scenario.level) / 2.0)
+    totals = [[[0.0] * (2 * p) for _ in methods] for _ in range(3)]
+    used = 0
+    for start in range(0, scenario.replications, _CHUNK):
+        chunk = [[[0.0] * (2 * p) for _ in methods] for _ in range(3)]
+        for r in range(start, min(start + _CHUNK, scenario.replications)):
+            stats = cause_stats(simulate_history(scenario, RandomSource(scenario.master_seed, r)))
+            if min(stats.counts) < 2:
+                continue
+            used += 1
+            for m, method in enumerate(methods):
+                if method in (Method.MLE, Method.CMLE):
+                    est = mle_distinct(stats) if method is Method.MLE else cmle(stats)
+                    points = list(est.beta) + list(est.alpha)
+                    ses = ([b / math.sqrt(n) for b, n in zip(est.beta, stats.counts)]
+                           + [math.sqrt(n) for n in stats.counts])
+                    intervals = [(x - z * se, x + z * se) for x, se in zip(points, ses)]
+                else:
+                    post = (jeffreys_posterior(stats) if method is Method.JEFFREYS
+                            else reference_posterior(stats))
+                    est = bayes_points(post)
+                    points = list(est.beta) + list(est.alpha)
+                    intervals = [credible_interval(post, name, scenario.level) for name in names]
+                for k, (theta, x, (lo, hi)) in enumerate(zip(truth, points, intervals)):
+                    chunk[0][m][k] += x / theta
+                    chunk[1][m][k] += (x - theta) ** 2
+                    chunk[2][m][k] += 1.0 if lo <= theta <= hi else 0.0
+        for total, part in zip(totals, chunk):
+            for m in range(len(methods)):
+                for k in range(2 * p):
+                    total[m][k] += part[m][k]
+    rel, sq, cover = totals
+    rows = tuple(McRow(names[k], method, rel[m][k] / used, sq[m][k] / used, cover[m][k] / used)
+                 for k in range(2 * p) for m, method in enumerate(methods))
+    return McReport(scenario.name or "custom", scenario.master_seed, scenario.replications,
+                    used, scenario.replications - used, scenario.level,
+                    tuple(zip(names, truth)), rows)
+
+
+class TestEngine:
+    @pytest.mark.parametrize("preset, level, methods", [
+        ("scenario1", 0.95, ALL_METHODS),
+        ("scenario5", 0.9, (Method.REFERENCE, Method.CMLE)),
+    ])
+    def test_matches_scalar_rebuild(self, preset, level, methods):
+        scenario = Scenario(PRESET_SCENARIOS[preset].params, _CHUNK + 150, 23, level, preset)
+        assert run_study(scenario, methods).to_json() == _scalar_study(scenario, methods).to_json()
+
+    def test_pool_is_capped(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Runs each task at submit, in this process; records the size asked for."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        scenario = Scenario(PRESET_SCENARIOS["scenario1"].params, 3 * _CHUNK, 99)
+        serial = run_study(scenario).to_json()
+        for workers, cpus, expected in ((64, 8, [3]), (2, 8, [2]), (64, 2, [2]), (64, 1, [])):
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda cpus=cpus: cpus)
+            sizes.clear()
+            assert run_study(scenario, workers=workers).to_json() == serial
+            assert sizes == expected
