@@ -72,7 +72,6 @@ from .numerics import (
     ln_gamma,
     normal_quantile,
     reg_gamma_p,
-    sample_poisson,
 )
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ precision and contain identical values.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -160,9 +161,6 @@ def _resolve_scenario(args) -> Scenario:
 
 def _cmd_simulate(args) -> int:
     scenario = _resolve_scenario(args)
-    if scenario.replications >= 1_000_000:
-        sys.stderr.write(json.dumps({"warning": "replications >= 1e6 is full study scale; "
-                                                "expect a long runtime"}) + "\n")
     methods = _parse_methods(args.methods) if args.methods else ALL_METHODS
     report = run_study(scenario, methods=methods, workers=args.workers)
     if args.format == "json":
@@ -232,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--replications", type=int, default=None)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--level", type=float, default=None)
-    sim.add_argument("--workers", type=int, default=1)
+    sim.add_argument("--workers", type=int, default=1,
+                     help="accepted for compatibility; reports and run time do not depend on it")
     sim.add_argument("--methods", default=None,
                      help="comma list of mle,cmle,jeffreys,reference (or 'all')")
     sim.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -252,9 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing keeps no state in the parser, so one instance serves every call.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except PlpcrError as exc:

@@ -340,10 +340,21 @@ class Cells(NamedTuple):
 _ALPHA_SHAPE_OFFSET = {Method.JEFFREYS: 1.0, Method.REFERENCE: 0.5}
 
 
-def _std_quantiles(shapes: np.ndarray, q: float) -> np.ndarray:
-    # Shapes are small counts that repeat, so the cache answers nearly every call.
-    return np.reshape([_std_gamma_quantile(a, q) for a in shapes.ravel().tolist()],
-                      shapes.shape)
+# From about this many shapes on, np.unique plus one cached lookup per distinct
+# shape is cheaper than one lookup per element (and below it, np.unique's fixed
+# cost and first-call memory dominate a one-shot fit).
+_DEDUPE_MIN = 100
+
+
+def _std_quantiles(shapes: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-tail quantiles of the unit-rate gammas of `shapes`; a large array,
+    such as a study block, is looked up once per distinct shape and tail."""
+    flat, inverse = shapes.ravel(), slice(None)
+    if flat.size >= _DEDUPE_MIN:
+        flat, inverse = np.unique(flat, return_inverse=True)
+    flat = flat.tolist()
+    return tuple(np.array([_std_gamma_quantile(a, q) for a in flat])[inverse]
+                 .reshape(shapes.shape) for q in ((1.0 - level) / 2.0, (1.0 + level) / 2.0))
 
 
 def _wald(point: np.ndarray, sd: np.ndarray, level: float) -> Cells:
@@ -364,16 +375,15 @@ def _beta_cells(method: Method, n: np.ndarray, s: np.ndarray, level: float,
     # The beta marginal Gamma(n, S); its mode (n - 1) / S is 0 at n = 1.
     point = (n - 1.0 if convention is PointConvention.MAP else n) / s
     sd = np.sqrt(n) / s
-    return Cells(point, sd, sd, _std_quantiles(n, (1.0 - level) / 2.0) / s,
-                 _std_quantiles(n, (1.0 + level) / 2.0) / s)
+    lo, hi = _std_quantiles(n, level)
+    return Cells(point, sd, sd, lo / s, hi / s)
 
 
 def _alpha_cells(method: Method, n: np.ndarray, level: float) -> Cells:
     if method is Method.MLE or method is Method.CMLE:
         return _wald(n, np.sqrt(n), level)
     shape = n + _ALPHA_SHAPE_OFFSET[method]
-    return Cells(n, np.sqrt(shape), np.sqrt(n), _std_quantiles(shape, (1.0 - level) / 2.0),
-                 _std_quantiles(shape, (1.0 + level) / 2.0))
+    return Cells(n, np.sqrt(shape), np.sqrt(n), *_std_quantiles(shape, level))
 
 
 def fit(method: Method, counts, log_sums, level: float,

@@ -1,32 +1,35 @@
-"""Replication studies: event-history generation and estimator comparison.
+"""Replication studies: estimator comparison over simulated sufficient statistics.
 
-One replication draws a history from known true parameters (per-cause Poisson
-counts, then times as T * U^(1/beta) with U uniform), fits every requested
-method under the distinct-shape model, and scores points by mean relative
-error and mean squared error and intervals by coverage.
+Every estimator depends on a history only through the per-cause counts n_j
+and log sums S_j = sum log(T/t), so a replication draws those directly: a
+Poisson(alpha_j) count per cause and, given it, S_j ~ Gamma(n_j, rate beta_j),
+the exact law of the log sum under the time-truncated power-law process
+(the chi-square pivot of Crow 1974).  Replications with some n_j < 2 are
+discarded.  Each method is fitted once per block of replications, and points
+are scored by mean relative error and mean squared error and intervals by
+coverage.  ``simulate_history`` draws whole event histories and is kept as the
+event-level reference for the sampler.
 
-Determinism contract: replication r always uses the random stream with
-stream_index r, partial sums are accumulated over fixed-size chunks of
-replications, and chunks are combined in index order.  Worker count therefore
-changes wall-clock time only; reports are bit-identical for any parallelism.
+Determinism contract: replications are drawn in blocks of a fixed 65,536,
+block b from the random stream keyed by (master_seed, b), and block sums are
+added in block order.  A report is therefore a pure function of the scenario
+and the method set; there is one execution path, whatever the worker count.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import numbers
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FailureHistory, FailureRecord, cause_stats
+from .data import FailureHistory, FailureRecord
 from .errors import DomainError, StudyError, ValidationError
 from .inference import ALL_METHODS, Method, fit
 from .model import PlpCauseParams, SystemParams
-from .numerics import RandomSource, sample_poisson
+from .numerics import RandomSource
 
-_CHUNK = 512  # fixed accumulation granularity; part of the determinism contract
+_BLOCK = 65_536  # replications per random stream; part of the determinism contract
 
 
 @dataclass(frozen=True)
@@ -147,12 +150,15 @@ PRESET_SCENARIOS: dict[str, Scenario] = {
 }
 
 
+_SCENARIO_KEYS = ("beta", "alpha", "T", "replications", "seed", "level")
+
+
 def parse_scenario(text: str, name: str | None = None) -> Scenario:
     """Parse the flat key-value scenario format.
 
     Keys: ``beta`` and ``alpha`` (bracketed lists), ``T``, and optional
-    ``replications``, ``seed``, ``level``.  Lines starting with ``#`` are
-    comments.
+    ``replications``, ``seed``, ``level``; any other key is refused.  Lines
+    starting with ``#`` are comments.
     """
     import ast
 
@@ -165,6 +171,9 @@ def parse_scenario(text: str, name: str | None = None) -> Scenario:
             raise ValidationError(f"line {line_no}: expected 'key = value', got {raw!r}")
         key, _, rhs = line.partition("=")
         key = key.strip()
+        if key not in _SCENARIO_KEYS:
+            raise ValidationError(f"line {line_no}: unknown key {key!r}; expected one of "
+                                  f"{', '.join(_SCENARIO_KEYS)}")
         try:
             values[key] = ast.literal_eval(rhs.strip())
         except (ValueError, SyntaxError):
@@ -194,7 +203,7 @@ def simulate_history(scenario: Scenario, rng: RandomSource) -> FailureHistory:
     all_times: list[np.ndarray] = []
     all_causes: list[np.ndarray] = []
     for cause in system.causes:
-        count = sample_poisson(cause.alpha, rng)
+        count = rng.poisson(cause.alpha)
         if count == 0:
             continue
         u = rng.uniforms(count)
@@ -219,44 +228,39 @@ def _true_vector(system: SystemParams) -> list[float]:
     return [c.beta for c in system.causes] + [c.alpha for c in system.causes]
 
 
-def _chunk_sums(scenario: Scenario, methods: tuple[Method, ...],
-                start: int, stop: int):
-    """Accumulate sums of theta_hat/theta, (theta_hat-theta)^2, and coverage
-    hits for replications [start, stop), in replication order."""
-    counts = np.empty((stop - start, scenario.params.num_causes))
-    log_sums = np.empty_like(counts)
-    used = discarded = 0
-    for r in range(start, stop):
-        stats = cause_stats(simulate_history(scenario, RandomSource(scenario.master_seed, r)))
-        if min(stats.counts) < 2:
-            discarded += 1
-            continue
-        counts[used], log_sums[used] = stats.counts, stats.log_sums
-        used += 1
+def _draw_block(scenario: Scenario, block: int, size: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Sufficient statistics of `size` replications drawn from one stream.
+
+    Per replication and cause a Poisson(alpha_j) count n_j; replications with
+    some n_j < 2 are discarded; the kept rows then get their log sums
+    S_j ~ Gamma(n_j, rate beta_j), which is the law of sum log(T/t) over the
+    n_j times T * U^(1/beta_j).  Returns the kept (counts, log sums) rows, one
+    column per cause, and the discard count.
+    """
+    causes = scenario.params.causes
+    key = np.array([scenario.master_seed, block], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    counts = gen.poisson([c.alpha for c in causes], (size, len(causes)))
+    counts = counts[(counts >= 2).all(axis=1)]
+    log_sums = gen.standard_gamma(counts) / np.array([c.beta for c in causes])
+    return counts, log_sums, size - len(counts)
+
+
+def _block_sums(scenario: Scenario, methods: tuple[Method, ...],
+                counts: np.ndarray, log_sums: np.ndarray) -> np.ndarray:
+    """Sums over rows of theta_hat/theta, (theta_hat - theta)^2 and coverage
+    hits, shaped (3, methods, parameters)."""
     truth = np.array(_true_vector(scenario.params))
-    rel = np.zeros((len(methods), truth.size))
-    sq = np.zeros_like(rel)
-    cover = np.zeros_like(rel)
-    if used:
-        for m, method in enumerate(methods):
-            beta, alpha = fit(method, counts[:used], log_sums[:used], scenario.level)
-            point = np.hstack((beta.point, alpha.point))
-            lo = np.hstack((beta.lo, alpha.lo))
-            hi = np.hstack((beta.hi, alpha.hi))
-            # Sums run in replication order (cumsum; np.sum may add pairwise),
-            # and float_power calls the C pow per element as Python's ** does
-            # (numpy's ** 2 multiplies): the reports' bits depend on both.
-            rel[m] = np.cumsum(point / truth, axis=0)[-1]
-            sq[m] = np.cumsum(np.float_power(point - truth, 2.0), axis=0)[-1]
-            cover[m] = np.cumsum((lo <= truth) & (truth <= hi), axis=0)[-1]
-    return rel, sq, cover, used, discarded
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    sums = np.empty((3, len(methods), truth.size))
+    for m, method in enumerate(methods):
+        beta, alpha = fit(method, counts, log_sums, scenario.level)
+        point = np.hstack((beta.point, alpha.point))
+        lo = np.hstack((beta.lo, alpha.lo))
+        hi = np.hstack((beta.hi, alpha.hi))
+        sums[0, m] = np.sum(point / truth, axis=0)
+        sums[1, m] = np.sum((point - truth) ** 2, axis=0)
+        sums[2, m] = np.sum((lo <= truth) & (truth <= hi), axis=0)
+    return sums
 
 
 def run_study(scenario: Scenario, methods: tuple[Method, ...] = ALL_METHODS,
@@ -264,9 +268,9 @@ def run_study(scenario: Scenario, methods: tuple[Method, ...] = ALL_METHODS,
     """Run the full replication study and assemble the report.
 
     Raises StudyError when every replication was discarded.  Results are a
-    pure function of the scenario (including master_seed) and the method set;
-    see the module docstring for why worker count cannot change them.  The
-    pool gets at most one process per chunk and per usable CPU.
+    pure function of the scenario (including master_seed) and the method set
+    (see the module docstring).  `workers` is validated and has no effect; it
+    stays so that existing callers keep working.
     """
     if not methods:
         raise DomainError("at least one method is required")
@@ -274,26 +278,15 @@ def run_study(scenario: Scenario, methods: tuple[Method, ...] = ALL_METHODS,
         raise DomainError(f"workers must be a positive integer, got {workers!r}")
     methods = tuple(methods)
     M = scenario.replications
-    chunks = [(start, min(start + _CHUNK, M)) for start in range(0, M, _CHUNK)]
-    workers = min(workers, len(chunks), _usable_cpus())
-    if workers == 1:
-        partials = [_chunk_sums(scenario, methods, a, b) for a, b in chunks]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_chunk_sums, scenario, methods, a, b) for a, b in chunks]
-            partials = [f.result() for f in futures]
     p = scenario.params.num_causes
-    rel = np.zeros((len(methods), 2 * p))
-    sq = np.zeros_like(rel)
-    cover = np.zeros_like(rel)
-    used = 0
-    discarded = 0
-    for c_rel, c_sq, c_cover, c_used, c_discarded in partials:
-        rel += c_rel
-        sq += c_sq
-        cover += c_cover
-        used += c_used
-        discarded += c_discarded
+    sums = np.zeros((3, len(methods), 2 * p))
+    used = discarded = 0
+    for block, start in enumerate(range(0, M, _BLOCK)):
+        counts, log_sums, block_discarded = _draw_block(scenario, block, min(_BLOCK, M - start))
+        sums += _block_sums(scenario, methods, counts, log_sums)
+        used += len(counts)
+        discarded += block_discarded
+    rel, sq, cover = sums
     if used == 0:
         raise StudyError("every replication was discarded (some cause below 2 failures); "
                          "increase the expected counts or the replication budget")

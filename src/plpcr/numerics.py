@@ -257,49 +257,8 @@ class RandomSource:
             zeros = out == 0.0
         return out
 
-
-def sample_poisson(mean: float, rng: RandomSource) -> int:
-    """Poisson variate by CDF inversion (mean < 30) or PTRS rejection above."""
-    if not (isinstance(mean, (int, float)) and math.isfinite(mean) and mean >= 0.0):
-        raise DomainError(f"sample_poisson requires a finite mean >= 0, got {mean!r}")
-    if mean == 0.0:
-        return 0
-    if mean < 30.0:
-        return _poisson_inversion(float(mean), rng)
-    return _poisson_ptrs(float(mean), rng)
-
-
-def _poisson_inversion(lam: float, rng: RandomSource) -> int:
-    u = rng.uniform()
-    pmf = math.exp(-lam)
-    cdf = pmf
-    k = 0
-    while u > cdf:
-        k += 1
-        pmf *= lam / k
-        cdf += pmf
-        if pmf < _FPMIN:
-            break  # cdf has saturated within float64
-    return k
-
-
-def _poisson_ptrs(lam: float, rng: RandomSource) -> int:
-    # Transformed rejection with squeeze (Hormann), valid for lam >= 10.
-    slam = math.sqrt(lam)
-    loglam = math.log(lam)
-    b = 0.931 + 2.53 * slam
-    a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
-    while True:
-        u = rng.uniform() - 0.5
-        v = rng.uniform()
-        us = 0.5 - abs(u)
-        k = math.floor((2.0 * a / us + b) * u + lam + 0.43)
-        if us >= 0.07 and v <= v_r:
-            return int(k)
-        if k < 0 or (us < 0.013 and v > us):
-            continue
-        if (math.log(v) + math.log(inv_alpha) - math.log(a / (us * us) + b)
-                <= k * loglam - lam - math.lgamma(k + 1.0)):
-            return int(k)
+    def poisson(self, mean: float) -> int:
+        """One Poisson(mean) draw; the mean must be finite and >= 0."""
+        if not (isinstance(mean, (int, float)) and math.isfinite(mean) and mean >= 0.0):
+            raise DomainError(f"poisson requires a finite mean >= 0, got {mean!r}")
+        return int(self._gen.poisson(mean))

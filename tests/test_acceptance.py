@@ -42,9 +42,11 @@ from plpcr.numerics import GammaParams, RandomSource, gamma_quantile, reg_gamma_
 # Fixed acceptance-study seed.  The study is deterministic by contract, so
 # this realization is part of the suite.  At desk scale (M=1e4) the MRE cells
 # for low-count causes have sampling sd ~0.017, which makes the stated 0.02
-# band a ~1.2 sigma check; the seed is pinned to a realization inside the
-# band.  Unbiasedness itself is established by the dedicated conditional
-# resampling test in test_inference.py at 1e5 draws, not by this choice.
+# band a ~1.2 sigma check.  The seed was chosen under the earlier event-history
+# engine and kept unchanged when studies moved to sampling (n_j, S_j) blocks,
+# which changed every realization.  Unbiasedness itself is established by the
+# dedicated conditional resampling test in test_inference.py at 1e5 draws,
+# not by this choice.
 STUDY_SEED = 303
 STUDY_REPLICATIONS = 10_000
 

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from plpcr import cli
 from plpcr.cli import main
 from plpcr.data import harvester_fixture, parse_history, serialize_history
 
@@ -171,6 +172,27 @@ class TestSimulate:
         assert record["type"] == "ValidationError"
         assert line.split()[0] in record["message"]
 
+    @pytest.mark.parametrize("line", ["replication = 100", "sede = 9"])
+    def test_unknown_scenario_key_errors(self, capsys, tmp_path, line):
+        path = tmp_path / "typo.scenario"
+        path.write_text(f"beta = [1.5, 1.0]\nalpha = [6.45, 2.75]\nT = 5.5\n{line}\n",
+                        encoding="utf-8")
+        code, out, err = _run(capsys, ["simulate", "--scenario", str(path)])
+        assert code == 1
+        assert out == ""
+        (line_out,) = err.splitlines()
+        record = json.loads(line_out)["error"]
+        assert record["type"] == "ValidationError"
+        assert f"unknown key '{line.split()[0]}'" in record["message"]
+
+    def test_full_scale_study_is_quiet(self, capsys):
+        code, out, err = _run(capsys, ["simulate", "--scenario", "scenario1",
+                                       "--replications", "1000000", "--format", "json"])
+        assert code == 0
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["used"] + payload["discarded"] == 1_000_000
+
     def test_unknown_scenario_errors(self, capsys):
         code, _, err = _run(capsys, ["simulate", "--scenario", "scenario99"])
         assert code != 0
@@ -186,6 +208,28 @@ class TestSimulate:
         assert payload["used"] + payload["discarded"] == 256
         assert {row["method"] for row in payload["rows"]} == {
             "mle", "cmle", "jeffreys", "reference"}
+
+
+class TestParserReuse:
+    ARGVS = (["fit", "--fixtures", "harvester", "--prior", "jeffreys"],
+             ["fit", "--fixtures", "harvester"],
+             ["fit", "--fixtures", "harvester", "--format", "csv", "--level", "0.9",
+              "--model", "shared"],
+             ["simulate", "--scenario", "scenario1", "--replications", "300", "--seed", "4"],
+             ["fit", "--fixtures", "harvester", "--methods", "mle", "--paper-compat",
+              "--format", "json"],
+             ["duane", "--fixtures", "harvester", "--cause", "2"],
+             ["fit", "--fixtures", "harvester"])
+
+    def test_consecutive_calls_match_fresh_calls(self, capsys):
+        # main builds its parser once; no parsed option may leak into a later call.
+        consecutive = [_run(capsys, argv) for argv in self.ARGVS]
+        fresh = []
+        for argv in self.ARGVS:
+            cli._parser.cache_clear()
+            fresh.append(_run(capsys, argv))
+        assert consecutive == fresh
+        assert all(code == 0 for code, _, _ in consecutive)
 
 
 class TestDuane:

@@ -2,6 +2,7 @@
 intervals, and the log-likelihood, each against an independent computation."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -406,10 +407,13 @@ class TestFitKernel:
                         post, f"{kind}_{j + 1}", level)
 
     def test_elementwise_over_replications(self):
-        # A (replications, causes) block gives the cells of each row alone.
-        counts = np.array([[2, 5], [7, 3], [2, 2]])
-        log_sums = np.array([[0.5, 4.0], [3.5, 1.25], [9.0, 0.1]])
-        for method in ALL_METHODS:
+        # A (replications, causes) block gives the cells of each row alone,
+        # for a small block and for one large enough to be deduplicated.
+        rng = np.random.default_rng(8)
+        blocks = [(np.array([[2, 5], [7, 3], [2, 2]]),
+                   np.array([[0.5, 4.0], [3.5, 1.25], [9.0, 0.1]])),
+                  (rng.poisson(6.0, (150, 2)) + 1, rng.gamma(5.0, 1.0, (150, 2)))]
+        for (counts, log_sums), method in itertools.product(blocks, ALL_METHODS):
             block = fit(method, counts, log_sums, 0.9)
             for r in range(counts.shape[0]):
                 single = fit(method, counts[r], log_sums[r], 0.9)

@@ -2,14 +2,14 @@
 pairing/discard bookkeeping, and worker-independent determinism."""
 from __future__ import annotations
 
-import concurrent.futures
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from plpcr import montecarlo
-from plpcr.data import cause_stats
+from plpcr.data import CauseStats, cause_stats
 from plpcr.errors import DomainError, StudyError, ValidationError
 from plpcr.inference import (
     ALL_METHODS,
@@ -22,7 +22,6 @@ from plpcr.inference import (
     reference_posterior,
 )
 from plpcr.montecarlo import (
-    _CHUNK,
     PRESET_SCENARIOS,
     McReport,
     McRow,
@@ -140,6 +139,13 @@ class TestScenarios:
         with pytest.raises(DomainError):
             parse_scenario("beta=[1.0]\nalpha=[2.0, 3.0]\nT=1.0\n")
 
+    @pytest.mark.parametrize("line", ["replication = 100", "sede = 9", "Beta = [1.0]"])
+    def test_parse_scenario_rejects_unknown_keys(self, line):
+        # A misspelt key must not fall back silently to a default.
+        key = line.split()[0]
+        with pytest.raises(ValidationError, match=f"line 4: unknown key '{key}'"):
+            parse_scenario(f"beta=[1.0]\nalpha=[2.0]\nT=1.0\n{line}\n")
+
     def test_scenario_validation(self):
         params = PRESET_SCENARIOS["scenario1"].params
         with pytest.raises(DomainError):
@@ -220,49 +226,44 @@ class TestRunStudy:
 
 
 def _scalar_study(scenario: Scenario, methods) -> McReport:
-    """The study rebuilt one replication, method and parameter at a time from
-    the library estimators, summed per chunk in replication order."""
+    """The study rebuilt from the engine's own block draws, one replication,
+    method and parameter at a time, with the library estimators."""
     causes = scenario.params.causes
     p = len(causes)
     names = [f"beta_{j}" for j in range(1, p + 1)] + [f"alpha_{j}" for j in range(1, p + 1)]
     truth = [c.beta for c in causes] + [c.alpha for c in causes]
     z = normal_quantile((1.0 + scenario.level) / 2.0)
-    totals = [[[0.0] * (2 * p) for _ in methods] for _ in range(3)]
-    used = 0
-    for start in range(0, scenario.replications, _CHUNK):
-        chunk = [[[0.0] * (2 * p) for _ in methods] for _ in range(3)]
-        for r in range(start, min(start + _CHUNK, scenario.replications)):
-            stats = cause_stats(simulate_history(scenario, RandomSource(scenario.master_seed, r)))
-            if min(stats.counts) < 2:
-                continue
+    rel, sq, cover = ([[0.0] * (2 * p) for _ in methods] for _ in range(3))
+    used = discarded = 0
+    M, block_size = scenario.replications, montecarlo._BLOCK
+    for block, start in enumerate(range(0, M, block_size)):
+        counts, log_sums, block_discarded = montecarlo._draw_block(
+            scenario, block, min(block_size, M - start))
+        discarded += block_discarded
+        for n_row, s_row in zip(counts.tolist(), log_sums.tolist()):
+            stats_row = CauseStats(tuple(n_row), tuple(s_row), scenario.params.truncation_time)
             used += 1
             for m, method in enumerate(methods):
                 if method in (Method.MLE, Method.CMLE):
-                    est = mle_distinct(stats) if method is Method.MLE else cmle(stats)
+                    est = mle_distinct(stats_row) if method is Method.MLE else cmle(stats_row)
                     points = list(est.beta) + list(est.alpha)
-                    ses = ([b / math.sqrt(n) for b, n in zip(est.beta, stats.counts)]
-                           + [math.sqrt(n) for n in stats.counts])
+                    ses = ([b / math.sqrt(n) for b, n in zip(est.beta, n_row)]
+                           + [math.sqrt(n) for n in n_row])
                     intervals = [(x - z * se, x + z * se) for x, se in zip(points, ses)]
                 else:
-                    post = (jeffreys_posterior(stats) if method is Method.JEFFREYS
-                            else reference_posterior(stats))
+                    post = (jeffreys_posterior(stats_row) if method is Method.JEFFREYS
+                            else reference_posterior(stats_row))
                     est = bayes_points(post)
                     points = list(est.beta) + list(est.alpha)
                     intervals = [credible_interval(post, name, scenario.level) for name in names]
                 for k, (theta, x, (lo, hi)) in enumerate(zip(truth, points, intervals)):
-                    chunk[0][m][k] += x / theta
-                    chunk[1][m][k] += (x - theta) ** 2
-                    chunk[2][m][k] += 1.0 if lo <= theta <= hi else 0.0
-        for total, part in zip(totals, chunk):
-            for m in range(len(methods)):
-                for k in range(2 * p):
-                    total[m][k] += part[m][k]
-    rel, sq, cover = totals
+                    rel[m][k] += x / theta
+                    sq[m][k] += (x - theta) ** 2
+                    cover[m][k] += 1.0 if lo <= theta <= hi else 0.0
     rows = tuple(McRow(names[k], method, rel[m][k] / used, sq[m][k] / used, cover[m][k] / used)
                  for k in range(2 * p) for m, method in enumerate(methods))
-    return McReport(scenario.name or "custom", scenario.master_seed, scenario.replications,
-                    used, scenario.replications - used, scenario.level,
-                    tuple(zip(names, truth)), rows)
+    return McReport(scenario.name or "custom", scenario.master_seed, M, used, discarded,
+                    scenario.level, tuple(zip(names, truth)), rows)
 
 
 class TestEngine:
@@ -270,35 +271,42 @@ class TestEngine:
         ("scenario1", 0.95, ALL_METHODS),
         ("scenario5", 0.9, (Method.REFERENCE, Method.CMLE)),
     ])
-    def test_matches_scalar_rebuild(self, preset, level, methods):
-        scenario = Scenario(PRESET_SCENARIOS[preset].params, _CHUNK + 150, 23, level, preset)
-        assert run_study(scenario, methods).to_json() == _scalar_study(scenario, methods).to_json()
+    def test_matches_scalar_rebuild(self, preset, level, methods, monkeypatch):
+        # Small blocks, so that the rebuild stays quick and spans a partial block.
+        monkeypatch.setattr(montecarlo, "_BLOCK", 256)
+        scenario = Scenario(PRESET_SCENARIOS[preset].params, 256 + 150, 23, level, preset)
+        engine, scalar = run_study(scenario, methods), _scalar_study(scenario, methods)
+        assert engine.replications_used == scalar.replications_used
+        assert engine.replications_discarded == scalar.replications_discarded
+        assert [(r.parameter, r.method) for r in engine.rows] == [
+            (r.parameter, r.method) for r in scalar.rows]
+        for got, want in zip(engine.rows, scalar.rows):
+            for field in ("mre", "mse", "cp"):
+                assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12)
 
-    def test_pool_is_capped(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool:
-            """Runs each task at submit, in this process; records the size asked for."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        scenario = Scenario(PRESET_SCENARIOS["scenario1"].params, 3 * _CHUNK, 99)
-        serial = run_study(scenario).to_json()
-        for workers, cpus, expected in ((64, 8, [3]), (2, 8, [2]), (64, 2, [2]), (64, 1, [])):
-            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda cpus=cpus: cpus)
-            sizes.clear()
-            assert run_study(scenario, workers=workers).to_json() == serial
-            assert sizes == expected
+    def test_block_sampler_matches_event_histories(self):
+        # The block sampler's (n, S) against simulate_history + cause_stats,
+        # kept rows only: a chi-square test on the discard share and on each
+        # cause's counts, and, given n_j, a KS test of beta_j * S_j against
+        # Gamma(n_j, 1) through its CDF, for both samplers.
+        scenario = Scenario(PRESET_SCENARIOS["scenario1"].params, 1, 61)
+        block_n, block_s, block_discarded = montecarlo._draw_block(scenario, 0, 20_000)
+        rows = [cause_stats(simulate_history(scenario, RandomSource(61, r)))
+                for r in range(10_000)]
+        kept = [r for r in rows if min(r.counts) >= 2]
+        event_n = np.array([r.counts for r in kept])
+        event_s = np.array([r.log_sums for r in kept])
+        discard_table = [[len(block_n), block_discarded], [len(kept), len(rows) - len(kept)]]
+        assert stats.chi2_contingency(discard_table).pvalue > 1e-3
+        betas = np.array([c.beta for c in scenario.params.causes])
+        for j in range(2):
+            # Pool the upper tail so that every expected cell is at least 5.
+            top = 2
+            while min(np.sum(block_n[:, j] > top), np.sum(event_n[:, j] > top)) >= 20:
+                top += 1
+            table = [np.bincount(np.minimum(n[:, j], top) - 2, minlength=top - 1)
+                     for n in (block_n, event_n)]
+            assert stats.chi2_contingency(table).pvalue > 1e-3, j
+            for n, s in ((block_n, block_s), (event_n, event_s)):
+                u = stats.gamma.cdf(betas[j] * s[:, j], n[:, j])
+                assert stats.kstest(u, "uniform").pvalue > 1e-3, j

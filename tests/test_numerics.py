@@ -16,7 +16,6 @@ from plpcr.numerics import (
     ln_gamma,
     normal_quantile,
     reg_gamma_p,
-    sample_poisson,
 )
 
 QUANTILE_SHAPES = (0.5, 1.0, 5.0, 10.0, 24.5, 100.0)
@@ -183,19 +182,21 @@ class TestRandomSource:
 
 
 class TestSamplePoisson:
+    """RandomSource.poisson, the count draw of the event-level history simulator."""
+
     def test_zero_mean(self):
         rng = RandomSource(1, 0)
-        assert sample_poisson(0.0, rng) == 0
+        assert rng.poisson(0.0) == 0
 
     def test_law_of_large_numbers(self):
         rng = RandomSource(2024, 0)
         n = 100_000
-        draws = np.array([sample_poisson(6.45, rng) for _ in range(n)])
+        draws = np.array([rng.poisson(6.45) for _ in range(n)])
         assert abs(draws.mean() - 6.45) < 3.0 * math.sqrt(6.45 / n)
 
     def test_variance_at_large_mean(self):
         rng = RandomSource(2025, 0)
-        draws = np.array([sample_poisson(100.0, rng) for _ in range(100_000)])
+        draws = np.array([rng.poisson(100.0) for _ in range(100_000)])
         assert abs(draws.var() - 100.0) < 5.0
 
     @pytest.mark.parametrize("mean", [0.5, 6.45, 100.0])
@@ -204,7 +205,7 @@ class TestSamplePoisson:
         # every expected count is at least 5.
         rng = RandomSource(99991, int(mean * 100))
         n = 100_000
-        draws = np.array([sample_poisson(mean, rng) for _ in range(n)])
+        draws = np.array([rng.poisson(mean) for _ in range(n)])
         kmax = int(mean + 8.0 * math.sqrt(mean) + 10)
         expected_pmf = stats.poisson.pmf(np.arange(kmax + 1), mean)
         lo = 0
@@ -230,6 +231,6 @@ class TestSamplePoisson:
     def test_domain(self):
         rng = RandomSource(3, 0)
         with pytest.raises(DomainError):
-            sample_poisson(-1.0, rng)
+            rng.poisson(-1.0)
         with pytest.raises(DomainError):
-            sample_poisson(math.inf, rng)
+            rng.poisson(math.inf)
