@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .data import cause_stats, harvester_fixture, parse_history, serialize_history
 from .diagnostics import duane_csv, duane_points
-from .errors import PlpcrError
+from .errors import PlpcrError, ValidationError
 from .inference import (
     ALL_METHODS,
     EstimateTable,
@@ -45,19 +45,23 @@ def _warn_records(warnings) -> None:
         sys.stderr.write(json.dumps({"warning": message}) + "\n")
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+                              ) from None
+
+
 def _load_history(args):
-    if getattr(args, "fixtures", None):
-        name = args.fixtures
-        if name not in _FIXTURES:
-            raise PlpcrError(f"unknown fixture {name!r}; available: {', '.join(_FIXTURES)}")
-        return _FIXTURES[name]()
+    if args.fixtures:
+        return _FIXTURES[args.fixtures]()
     if not args.input:
         raise PlpcrError("either --input with --truncation or --fixtures is required")
     if args.truncation is None:
         raise PlpcrError("--truncation is required with --input (it is never "
                          "inferred from the data)")
-    text = Path(args.input).read_text(encoding="utf-8")
-    return parse_history(text, args.truncation, args.num_causes)
+    return parse_history(_read_text(args.input), args.truncation, args.num_causes)
 
 
 def _table_text(table: EstimateTable, digits: int = 3) -> str:
@@ -149,7 +153,7 @@ def _resolve_scenario(args) -> Scenario:
         if not path.exists():
             raise PlpcrError(f"scenario {label!r} is neither a preset "
                              f"({', '.join(PRESET_SCENARIOS)}) nor a file")
-        base = parse_scenario(path.read_text(encoding="utf-8"), name=path.stem)
+        base = parse_scenario(_read_text(path), name=path.stem)
     return Scenario(
         params=base.params,
         replications=args.replications if args.replications is not None else base.replications,
@@ -184,8 +188,6 @@ def _cmd_duane(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
-    if args.name not in _FIXTURES:
-        raise PlpcrError(f"unknown fixture {args.name!r}; available: {', '.join(_FIXTURES)}")
     _emit(serialize_history(_FIXTURES[args.name]()), args.output)
     return 0
 

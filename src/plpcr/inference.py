@@ -340,21 +340,12 @@ class Cells(NamedTuple):
 _ALPHA_SHAPE_OFFSET = {Method.JEFFREYS: 1.0, Method.REFERENCE: 0.5}
 
 
-# From about this many shapes on, np.unique plus one cached lookup per distinct
-# shape is cheaper than one lookup per element (and below it, np.unique's fixed
-# cost and first-call memory dominate a one-shot fit).
-_DEDUPE_MIN = 100
-
-
 def _std_quantiles(shapes: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
-    """Equal-tail quantiles of the unit-rate gammas of `shapes`; a large array,
-    such as a study block, is looked up once per distinct shape and tail."""
-    flat, inverse = shapes.ravel(), slice(None)
-    if flat.size >= _DEDUPE_MIN:
-        flat, inverse = np.unique(flat, return_inverse=True)
-    flat = flat.tolist()
-    return tuple(np.array([_std_gamma_quantile(a, q) for a in flat])[inverse]
-                 .reshape(shapes.shape) for q in ((1.0 - level) / 2.0, (1.0 + level) / 2.0))
+    """Equal-tail quantiles of the unit-rate gammas of `shapes`, one cached
+    lookup per element and tail; a study passes one element per distinct count."""
+    flat = shapes.ravel().tolist()
+    return tuple(np.array([_std_gamma_quantile(a, q) for a in flat]).reshape(shapes.shape)
+                 for q in ((1.0 - level) / 2.0, (1.0 + level) / 2.0))
 
 
 def _wald(point: np.ndarray, sd: np.ndarray, level: float) -> Cells:

@@ -5,10 +5,12 @@ and log sums S_j = sum log(T/t), so a replication draws those directly: a
 Poisson(alpha_j) count per cause and, given it, S_j ~ Gamma(n_j, rate beta_j),
 the exact law of the log sum under the time-truncated power-law process
 (the chi-square pivot of Crow 1974).  Replications with some n_j < 2 are
-discarded.  Each method is fitted once per block of replications, and points
-are scored by mean relative error and mean squared error and intervals by
-coverage.  ``simulate_history`` draws whole event histories and is kept as the
-event-level reference for the sampler.
+discarded.  Each method is fitted once per distinct count in a block of
+replications, at unit log sum: given n_j, beta_j * S_j ~ Gamma(n_j, 1), so a
+row's beta cells are the cells at its counts scaled by 1/S_j, and its alpha
+cells depend on the counts alone.  Points are scored by mean relative error
+and mean squared error and intervals by coverage.  ``simulate_history`` draws
+whole event histories and is kept as the event-level reference for the sampler.
 
 Determinism contract: replications are drawn in blocks of a fixed 65,536,
 block b from the random stream keyed by (master_seed, b), and block sums are
@@ -32,6 +34,10 @@ from .numerics import RandomSource
 _BLOCK = 65_536  # replications per random stream; part of the determinism contract
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """True parameters plus study size, master seed, and interval level."""
@@ -43,9 +49,9 @@ class Scenario:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.replications, int) and self.replications >= 1):
+        if not (_is_int(self.replications) and self.replications >= 1):
             raise DomainError(f"replications must be a positive integer, got {self.replications!r}")
-        if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < 2**64):
+        if not (_is_int(self.master_seed) and 0 <= self.master_seed < 2**64):
             raise DomainError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
         if not (0.0 < self.level < 1.0):
             raise DomainError(f"level must lie in (0, 1), got {self.level!r}")
@@ -119,9 +125,11 @@ class McReport:
 
 def _number(key: str, value, integral: bool = False):
     # Integral floats such as 1e4 pass as whole numbers; 3.7 is refused, not truncated.
+    # A bool is a number to Python but never a value a scenario means.
     if integral and isinstance(value, float) and value.is_integer():
         value = int(value)
-    if not isinstance(value, numbers.Integral if integral else numbers.Real):
+    wanted = numbers.Integral if integral else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, wanted):
         kind = "an integer" if integral else "a number"
         raise ValidationError(f"{key} must be {kind}, got {value!r}")
     return int(value) if integral else float(value)
@@ -174,6 +182,8 @@ def parse_scenario(text: str, name: str | None = None) -> Scenario:
         if key not in _SCENARIO_KEYS:
             raise ValidationError(f"line {line_no}: unknown key {key!r}; expected one of "
                                   f"{', '.join(_SCENARIO_KEYS)}")
+        if key in values:
+            raise ValidationError(f"line {line_no}: duplicate key {key!r}")
         try:
             values[key] = ast.literal_eval(rhs.strip())
         except (ValueError, SyntaxError):
@@ -249,14 +259,16 @@ def _draw_block(scenario: Scenario, block: int, size: int) -> tuple[np.ndarray, 
 def _block_sums(scenario: Scenario, methods: tuple[Method, ...],
                 counts: np.ndarray, log_sums: np.ndarray) -> np.ndarray:
     """Sums over rows of theta_hat/theta, (theta_hat - theta)^2 and coverage
-    hits, shaped (3, methods, parameters)."""
+    hits, shaped (3, methods, parameters), from one fit per distinct count."""
     truth = np.array(_true_vector(scenario.params))
     sums = np.empty((3, len(methods), truth.size))
+    grid, index = np.unique(counts, return_inverse=True)
+    index = index.reshape(counts.shape)  # the inverse's shape differs across numpy 2.x
     for m, method in enumerate(methods):
-        beta, alpha = fit(method, counts, log_sums, scenario.level)
-        point = np.hstack((beta.point, alpha.point))
-        lo = np.hstack((beta.lo, alpha.lo))
-        hi = np.hstack((beta.hi, alpha.hi))
+        beta, alpha = fit(method, grid, np.ones(grid.size), scenario.level)
+        point = np.hstack((beta.point[index] / log_sums, alpha.point[index]))
+        lo = np.hstack((beta.lo[index] / log_sums, alpha.lo[index]))
+        hi = np.hstack((beta.hi[index] / log_sums, alpha.hi[index]))
         sums[0, m] = np.sum(point / truth, axis=0)
         sums[1, m] = np.sum((point - truth) ** 2, axis=0)
         sums[2, m] = np.sum((lo <= truth) & (truth <= hi), axis=0)

@@ -134,6 +134,18 @@ class TestFit:
         assert code == 0
         assert err == ""
 
+    @pytest.mark.parametrize("command", ["fit", "duane"])
+    def test_non_utf8_input_errors(self, capsys, tmp_path, command):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"time,cause\n1.0,1\n\xff\xfe\n")
+        code, out, err = _run(capsys, [command, "--input", str(path), "--truncation", "10"])
+        assert code == 1
+        assert out == ""
+        (line_out,) = err.splitlines()
+        record = json.loads(line_out)["error"]
+        assert record["type"] == "ValidationError"
+        assert str(path) in record["message"]
+
     def test_unknown_method_errors(self, capsys):
         code, _, err = _run(capsys, ["fit", "--fixtures", "harvester",
                                      "--methods", "bogus"])
@@ -159,18 +171,33 @@ class TestSimulate:
         assert "# replications=256" in out
 
     @pytest.mark.parametrize("line", ['replications = "many"', "T = 'x'", "seed = 1.9",
-                                      "replications = 3.7"])
+                                      "replications = 3.7", "replications = True",
+                                      "seed = True", "beta = [True, 1.0]"])
     def test_bad_scenario_value_errors(self, capsys, tmp_path, line):
+        # The bad line replaces its key's line in an otherwise valid file.
+        key, _, value = line.partition(" = ")
+        lines = {"beta": "[1.5, 1.0]", "alpha": "[6.45, 2.75]", "T": "5.5",
+                 "replications": "64", key: value}
         path = tmp_path / "bad.scenario"
-        path.write_text("beta = [1.5, 1.0]\nalpha = [6.45, 2.75]\nT = 5.5\n"
-                        f"replications = 64\n{line}\n", encoding="utf-8")
+        path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()), encoding="utf-8")
         code, out, err = _run(capsys, ["simulate", "--scenario", str(path)])
         assert code == 1
         assert out == ""
         (line_out,) = err.splitlines()
         record = json.loads(line_out)["error"]
         assert record["type"] == "ValidationError"
-        assert line.split()[0] in record["message"]
+        assert f"{key} must be" in record["message"]
+
+    def test_non_utf8_scenario_errors(self, capsys, tmp_path):
+        path = tmp_path / "latin.scenario"
+        path.write_bytes(b"beta = [1.5]\nalpha = [6.45]\nT = 5.5\n# \xff\xfe\n")
+        code, out, err = _run(capsys, ["simulate", "--scenario", str(path)])
+        assert code == 1
+        assert out == ""
+        (line_out,) = err.splitlines()
+        record = json.loads(line_out)["error"]
+        assert record["type"] == "ValidationError"
+        assert str(path) in record["message"]
 
     @pytest.mark.parametrize("line", ["replication = 100", "sede = 9"])
     def test_unknown_scenario_key_errors(self, capsys, tmp_path, line):

@@ -408,7 +408,7 @@ class TestFitKernel:
 
     def test_elementwise_over_replications(self):
         # A (replications, causes) block gives the cells of each row alone,
-        # for a small block and for one large enough to be deduplicated.
+        # for a small block and for a larger seeded one with repeated counts.
         rng = np.random.default_rng(8)
         blocks = [(np.array([[2, 5], [7, 3], [2, 2]]),
                    np.array([[0.5, 4.0], [3.5, 1.25], [9.0, 0.1]])),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from plpcr import montecarlo
+from plpcr import inference, montecarlo
 from plpcr.data import CauseStats, cause_stats
 from plpcr.errors import DomainError, StudyError, ValidationError
 from plpcr.inference import (
@@ -146,6 +146,13 @@ class TestScenarios:
         with pytest.raises(ValidationError, match=f"line 4: unknown key '{key}'"):
             parse_scenario(f"beta=[1.0]\nalpha=[2.0]\nT=1.0\n{line}\n")
 
+    @pytest.mark.parametrize("line", ["beta = [2.0]", "T = 1.0"])
+    def test_parse_scenario_rejects_duplicate_keys(self, line):
+        # A repeated key must not let the last value win silently.
+        key = line.split()[0]
+        with pytest.raises(ValidationError, match=f"line 5: duplicate key '{key}'"):
+            parse_scenario(f"beta=[1.0]\nalpha=[2.0]\nT=1.0\nseed=3\n{line}\n")
+
     def test_scenario_validation(self):
         params = PRESET_SCENARIOS["scenario1"].params
         with pytest.raises(DomainError):
@@ -154,6 +161,16 @@ class TestScenarios:
             Scenario(params, 10, -1)
         with pytest.raises(DomainError):
             Scenario(params, 10, 42, level=1.0)
+        # bool is an int subclass; a flag is never a count or a seed.
+        with pytest.raises(DomainError):
+            Scenario(params, True, 1)
+        with pytest.raises(DomainError):
+            Scenario(params, 10, True)
+        for kwargs in ({"betas": (True,)}, {"alphas": (True,)}, {"T": True},
+                       {"replications": True}, {"seed": True}, {"level": True}):
+            args = {"betas": (1.0,), "alphas": (2.0,), "T": 1.0, **kwargs}
+            with pytest.raises(ValidationError, match="must be"):
+                make_scenario(**args)
 
 
 class TestRunStudy:
@@ -266,15 +283,22 @@ def _scalar_study(scenario: Scenario, methods) -> McReport:
                     scenario.level, tuple(zip(names, truth)), rows)
 
 
+# Far-apart counts: cause 1 has a few failures, cause 2 about 2000, so a block's
+# distinct counts fall in two ranges with a wide gap between them.
+_ENGINE_CASES = {**PRESET_SCENARIOS,
+                 "far_apart": make_scenario((1.2, 0.8), (3.0, 2000.0), 5.0, name="far_apart")}
+
+
 class TestEngine:
     @pytest.mark.parametrize("preset, level, methods", [
         ("scenario1", 0.95, ALL_METHODS),
         ("scenario5", 0.9, (Method.REFERENCE, Method.CMLE)),
+        ("far_apart", 0.95, ALL_METHODS),
     ])
     def test_matches_scalar_rebuild(self, preset, level, methods, monkeypatch):
         # Small blocks, so that the rebuild stays quick and spans a partial block.
         monkeypatch.setattr(montecarlo, "_BLOCK", 256)
-        scenario = Scenario(PRESET_SCENARIOS[preset].params, 256 + 150, 23, level, preset)
+        scenario = Scenario(_ENGINE_CASES[preset].params, 256 + 150, 23, level, preset)
         engine, scalar = run_study(scenario, methods), _scalar_study(scenario, methods)
         assert engine.replications_used == scalar.replications_used
         assert engine.replications_discarded == scalar.replications_discarded
@@ -283,6 +307,27 @@ class TestEngine:
         for got, want in zip(engine.rows, scalar.rows):
             for field in ("mre", "mse", "cp"):
                 assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12)
+
+    def test_kernel_sees_distinct_counts_only(self, monkeypatch):
+        # A block is fitted once per distinct count, so no quantile lookup
+        # may receive more shapes than the block has distinct counts.
+        draw_block, std_quantiles = montecarlo._draw_block, inference._std_quantiles
+        distinct, sizes = [], []
+
+        def recording_draw(*args):
+            counts, log_sums, discarded = draw_block(*args)
+            distinct.append(np.unique(counts).size)
+            return counts, log_sums, discarded
+
+        def recording_quantiles(shapes, level):
+            sizes.append(shapes.size)
+            return std_quantiles(shapes, level)
+
+        monkeypatch.setattr(montecarlo, "_draw_block", recording_draw)
+        monkeypatch.setattr(inference, "_std_quantiles", recording_quantiles)
+        run_study(Scenario(PRESET_SCENARIOS["scenario3"].params, 4096, 5))
+        assert len(distinct) == 1
+        assert sizes and max(sizes) <= distinct[0]
 
     def test_block_sampler_matches_event_histories(self):
         # The block sampler's (n, S) against simulate_history + cause_stats,
