@@ -12,7 +12,7 @@ from .data import (
     serialize_history,
     WARRANTY_CLAIM_COUNTS,
 )
-from .diagnostics import DuaneSeries, duane_fit, duane_points, failure_histogram
+from .diagnostics import DuaneSeries, duane_points
 from .errors import (
     DiagnosticError,
     DomainError,
@@ -50,10 +50,8 @@ from .inference import (
 from .model import (
     PlpCauseParams,
     SystemParams,
-    alpha_from_mu,
     cumulative_intensity,
     intensity,
-    mu_from_alpha,
 )
 from .montecarlo import (
     McReport,
@@ -63,13 +61,10 @@ from .montecarlo import (
     make_scenario,
     parse_scenario,
     run_study,
-    simulate_history,
 )
 from .numerics import (
     GammaParams,
-    RandomSource,
     gamma_quantile,
-    ln_gamma,
     normal_quantile,
     reg_gamma_p,
 )

@@ -1,19 +1,16 @@
-"""Model-adequacy outputs: Duane point sets and failure-count histograms.
+"""Model-adequacy output: Duane point sets.
 
-Both emit plot-ready data rather than rendered figures: a Duane series is the
-(log time, log cumulative count) scatter whose near-linearity supports the
-power-law model (slope approximates beta), and the histogram counts failures
-per fixed-width interval of the observation window.
+A Duane series is emitted as plot-ready data rather than a rendered figure:
+the (log time, log cumulative count) scatter whose near-linearity supports
+the power-law model (its slope approximates beta).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .data import FailureHistory
-from .errors import DiagnosticError, DomainError
+from .errors import DiagnosticError
 
 
 @dataclass(frozen=True)
@@ -35,44 +32,9 @@ def duane_points(history: FailureHistory, cause: int) -> DuaneSeries:
     return DuaneSeries(cause, points)
 
 
-def duane_fit(series: DuaneSeries) -> tuple[float, float]:
-    """Least-squares (slope, intercept) of log_count on log_time.
-
-    Offered as a numeric summary only; adequacy is judged from the points.
-    """
-    if len(series.points) < 2:
-        raise DiagnosticError("need at least two points to fit a slope")
-    x = np.array([p[0] for p in series.points])
-    y = np.array([p[1] for p in series.points])
-    slope, intercept = np.polyfit(x, y, 1)
-    return float(slope), float(intercept)
-
-
-def failure_histogram(history: FailureHistory,
-                      bin_width: float) -> tuple[tuple[float, int], ...]:
-    """Failure counts per half-open bin [k*w, (k+1)*w) covering (0, T].
-
-    The final bin is truncated at T so the counts always total n.
-    """
-    if not (isinstance(bin_width, (int, float)) and math.isfinite(bin_width) and bin_width > 0.0):
-        raise DomainError(f"bin_width must be a positive real, got {bin_width!r}")
-    num_bins = max(1, int(math.ceil(history.truncation_time / bin_width)))
-    counts = [0] * num_bins
-    for rec in history.records:
-        counts[min(int(rec.time // bin_width), num_bins - 1)] += 1
-    return tuple((k * bin_width, c) for k, c in enumerate(counts))
-
-
 def duane_csv(series_list: list[DuaneSeries] | tuple[DuaneSeries, ...]) -> str:
     """Plot-ready CSV with columns cause,log_time,log_count."""
     lines = ["cause,log_time,log_count"]
     for series in series_list:
         lines.extend(f"{series.cause},{lt!r},{lc!r}" for lt, lc in series.points)
-    return "\n".join(lines) + "\n"
-
-
-def histogram_csv(bins: tuple[tuple[float, int], ...]) -> str:
-    """Plot-ready CSV with columns bin_start,count."""
-    lines = ["bin_start,count"]
-    lines.extend(f"{start!r},{count}" for start, count in bins)
     return "\n".join(lines) + "\n"

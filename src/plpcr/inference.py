@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedModelError,
     ValidationError,
 )
-from .model import SystemParams, mu_from_alpha
+from .model import SystemParams
 from .numerics import GammaParams, _std_gamma_quantile, gamma_quantile, normal_quantile
 
 
@@ -75,7 +75,6 @@ class MlEstimates:
     model: Model
     beta: tuple[float, ...]
     alpha: tuple[float, ...]
-    mu: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -127,6 +126,14 @@ class EstimateTable:
     warnings: tuple[str, ...] = ()
 
 
+def _as_method(value) -> Method:
+    try:
+        return Method(value)
+    except ValueError:
+        raise DomainError(f"unknown method {value!r}; expected one of "
+                          f"{', '.join(m.value for m in Method)}") from None
+
+
 def _check_level(level: float) -> None:
     if not (isinstance(level, (int, float)) and 0.0 < level < 1.0):
         raise DomainError(f"level must lie in (0, 1), got {level!r}")
@@ -161,33 +168,37 @@ def _require_counts(stats: CauseStats, minimum: int, what: str) -> None:
             f"cause{plural} {', '.join(map(str, bad))} fall short")
 
 
+def _require_log_sums(stats: CauseStats) -> None:
+    # cause_stats always gives a positive finite S_j when n_j >= 1; a
+    # hand-built CauseStats may not.
+    bad = [j + 1 for j, (n, s) in enumerate(zip(stats.counts, stats.log_sums))
+           if n >= 1 and not 0.0 < s < math.inf]
+    if bad:
+        raise DomainError(f"log sums must be positive and finite for causes with failures; "
+                          f"got {stats.log_sums!r}, bad at cause(s) {', '.join(map(str, bad))}")
+
+
 def mle_distinct(stats: CauseStats) -> MlEstimates:
-    """Per-cause MLEs beta_j = n_j / S_j, alpha_j = n_j, mu_j = T n_j^(-1/beta_j).
+    """Per-cause MLEs beta_j = n_j / S_j, alpha_j = n_j.
 
     Exists only when every cause has at least one failure.
     """
     _require_counts(stats, 1, "the distinct-shape MLE")
-    T = stats.truncation_time
+    _require_log_sums(stats)
     beta = tuple(n / s for n, s in zip(stats.counts, stats.log_sums))
     alpha = tuple(float(n) for n in stats.counts)
-    mu = tuple(mu_from_alpha(b, a, T) for b, a in zip(beta, alpha))
-    return MlEstimates(Model.DISTINCT, beta, alpha, mu)
+    return MlEstimates(Model.DISTINCT, beta, alpha)
 
 
 def mle_shared_shape(stats: CauseStats) -> MlEstimates:
-    """Pooled-shape MLE beta = n / S with per-cause alpha_j = n_j.
-
-    Causes without failures get alpha 0 and an infinite scale; their entries
-    are placeholders, not estimates, and callers reporting per-cause scales
-    must restrict to causes with at least one failure.
-    """
+    """Pooled-shape MLE beta = n / S with per-cause alpha_j = n_j (0 for a
+    cause without failures)."""
     if stats.n == 0:
         raise EstimationError("the shared-shape MLE requires at least one failure")
-    T = stats.truncation_time
+    _require_log_sums(stats)
     beta = stats.n / stats.log_sum_total
     alpha = tuple(float(n) for n in stats.counts)
-    mu = tuple(mu_from_alpha(beta, a, T) if a > 0 else math.inf for a in alpha)
-    return MlEstimates(Model.SHARED, (beta,), alpha, mu)
+    return MlEstimates(Model.SHARED, (beta,), alpha)
 
 
 def cmle(stats: CauseStats, model: Model = Model.DISTINCT) -> MlEstimates:
@@ -207,7 +218,7 @@ def cmle(stats: CauseStats, model: Model = Model.DISTINCT) -> MlEstimates:
             raise EstimationError("the pooled bias-corrected MLE requires at least 2 failures")
         base = mle_shared_shape(stats)
         beta = ((stats.n - 1) / stats.log_sum_total,)
-    return MlEstimates(model, beta, base.alpha, base.mu)
+    return MlEstimates(model, beta, base.alpha)
 
 
 def _beta_laws(stats: CauseStats, model: Model) -> tuple[GammaParams, ...]:
@@ -361,8 +372,6 @@ def _beta_cells(method: Method, n: np.ndarray, s: np.ndarray, level: float,
     if method is Method.MLE or method is Method.CMLE:
         point = (n if method is Method.MLE else n - 1.0) / s
         return _wald(point, point / np.sqrt(n), level)
-    if method not in _ALPHA_SHAPE_OFFSET:
-        raise DomainError(f"unknown method {method!r}")
     # The beta marginal Gamma(n, S); its mode (n - 1) / S is 0 at n = 1.
     point = (n - 1.0 if convention is PointConvention.MAP else n) / s
     sd = np.sqrt(n) / s
@@ -387,6 +396,7 @@ def fit(method: Method, counts, log_sums, level: float,
     intervals of Gamma(n, S) and Gamma(n + 1 or n + 1/2, 1), the posterior
     mode (map) or mean as the beta point and n as the alpha point.
     """
+    method = _as_method(method)
     _check_level(level)
     n = np.asarray(counts, dtype=float)
     return (_beta_cells(method, n, np.asarray(log_sums, dtype=float), level, convention),
@@ -407,6 +417,7 @@ def build_estimate_table(stats: CauseStats,
     as is a MAP beta point of 0 (a single failure).  Raises EstimationError
     when nothing at all is estimable.
     """
+    methods = tuple(_as_method(m) for m in methods)
     _check_level(level)
     if stats.n == 0:
         raise EstimationError("no failures observed")

@@ -1,9 +1,8 @@
 """Power-law failure intensities in orthogonal (shape, expected-count) form.
 
 Each failure cause carries a shape beta and an expected count alpha over the
-observation window (0, T].  The classical scale parameter mu is derived on
-demand via mu = T * alpha^(-1/beta) rather than stored, so there is a single
-source of truth for every parameterization.
+observation window (0, T]; this (beta, alpha) pair is the only
+parameterization the package uses.
 """
 from __future__ import annotations
 
@@ -72,20 +71,3 @@ def cumulative_intensity(params: PlpCauseParams, T: float, t: float) -> float:
     if t == 0.0:
         return 0.0
     return params.alpha * (t / T) ** params.beta
-
-
-def mu_from_alpha(beta: float, alpha: float, T: float) -> float:
-    """Scale parameter mu = T * alpha^(-1/beta) recovered from the count form."""
-    _require_positive("beta", beta)
-    _require_positive("alpha", alpha)
-    _require_positive("T", T)
-    return T * alpha ** (-1.0 / beta)
-
-
-def alpha_from_mu(beta: float, mu: float, T: float) -> float:
-    """Expected count on (0, T]: alpha = (T / mu)^beta."""
-    _require_positive("beta", beta)
-    _require_positive("mu", mu)
-    _require_positive("T", T)
-    return (T / mu) ** beta
-

@@ -9,8 +9,8 @@ discarded.  Each method is fitted once per distinct count in a block of
 replications, at unit log sum: given n_j, beta_j * S_j ~ Gamma(n_j, 1), so a
 row's beta cells are the cells at its counts scaled by 1/S_j, and its alpha
 cells depend on the counts alone.  Points are scored by mean relative error
-and mean squared error and intervals by coverage.  ``simulate_history`` draws
-whole event histories and is kept as the event-level reference for the sampler.
+and mean squared error and intervals by coverage.  No event history is ever
+built; the test suite checks the sampler against an event-level simulator.
 
 Determinism contract: replications are drawn in blocks of a fixed 65,536,
 block b from the random stream keyed by (master_seed, b), and block sums are
@@ -25,11 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FailureHistory, FailureRecord
 from .errors import DomainError, StudyError, ValidationError
-from .inference import ALL_METHODS, Method, fit
+from .inference import ALL_METHODS, Method, _as_method, fit
 from .model import PlpCauseParams, SystemParams
-from .numerics import RandomSource
 
 _BLOCK = 65_536  # replications per random stream; part of the determinism contract
 
@@ -53,7 +51,8 @@ class Scenario:
             raise DomainError(f"replications must be a positive integer, got {self.replications!r}")
         if not (_is_int(self.master_seed) and 0 <= self.master_seed < 2**64):
             raise DomainError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
-        if not (0.0 < self.level < 1.0):
+        if (isinstance(self.level, bool) or not isinstance(self.level, numbers.Real)
+                or not 0.0 < self.level < 1.0):
             raise DomainError(f"level must lie in (0, 1), got {self.level!r}")
 
 
@@ -201,34 +200,6 @@ def parse_scenario(text: str, name: str | None = None) -> Scenario:
                          name=name)
 
 
-def simulate_history(scenario: Scenario, rng: RandomSource) -> FailureHistory:
-    """Draw one failure history from the scenario's true parameters.
-
-    Per cause: a Poisson(alpha_j) count, then that many times T * U^(1/beta_j)
-    with U uniform on (0, 1); the merged, time-sorted record is returned.
-    Empty histories are valid outputs.
-    """
-    system = scenario.params
-    T = system.truncation_time
-    all_times: list[np.ndarray] = []
-    all_causes: list[np.ndarray] = []
-    for cause in system.causes:
-        count = rng.poisson(cause.alpha)
-        if count == 0:
-            continue
-        u = rng.uniforms(count)
-        all_times.append(T * u ** (1.0 / cause.beta))
-        all_causes.append(np.full(count, cause.cause_id, dtype=np.int64))
-    if not all_times:
-        return FailureHistory((), T, system.num_causes)
-    times = np.concatenate(all_times)
-    causes = np.concatenate(all_causes)
-    order = np.argsort(times)
-    records = tuple(FailureRecord(float(t), int(c))
-                    for t, c in zip(times[order], causes[order]))
-    return FailureHistory(records, T, system.num_causes)
-
-
 def _parameter_names(system: SystemParams) -> list[str]:
     p = system.num_causes
     return [f"beta_{j}" for j in range(1, p + 1)] + [f"alpha_{j}" for j in range(1, p + 1)]
@@ -288,7 +259,7 @@ def run_study(scenario: Scenario, methods: tuple[Method, ...] = ALL_METHODS,
         raise DomainError("at least one method is required")
     if not (isinstance(workers, int) and workers >= 1):
         raise DomainError(f"workers must be a positive integer, got {workers!r}")
-    methods = tuple(methods)
+    methods = tuple(_as_method(m) for m in methods)
     M = scenario.replications
     p = scenario.params.num_causes
     sums = np.zeros((3, len(methods), 2 * p))

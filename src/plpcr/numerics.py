@@ -1,18 +1,13 @@
-"""Gamma special functions, quantile inversion, and seedable random streams.
+"""Gamma special functions and quantile inversion.
 
-This is the numerical kernel the rest of the package sits on.  Everything is
-scalar float64 work with no dependency beyond the standard library, except
-for the random source, which wraps numpy's counter-based Philox generator so
-that each (master_seed, stream_index) pair names an independent, replayable
-stream.
+This is the numerical kernel the rest of the package sits on: scalar float64
+work with no dependency beyond the standard library.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import DomainError, NumericError
 
@@ -50,13 +45,6 @@ class GammaParams:
         if self.shape <= 1.0:
             return 0.0
         return (self.shape - 1.0) / self.rate
-
-
-def ln_gamma(a: float) -> float:
-    """Natural log of the gamma function for a > 0."""
-    if not (math.isfinite(a) and a > 0.0):
-        raise DomainError(f"ln_gamma requires a > 0, got {a!r}")
-    return math.lgamma(a)
 
 
 def reg_gamma_p(a: float, x: float) -> float:
@@ -217,48 +205,3 @@ def gamma_quantile(params: GammaParams, q: float) -> float:
     if not (isinstance(q, (int, float)) and math.isfinite(q) and 0.0 < q < 1.0):
         raise DomainError(f"gamma_quantile requires q in (0, 1), got {q!r}")
     return _std_gamma_quantile(params.shape, float(q)) / params.rate
-
-
-@dataclass
-class RandomSource:
-    """Deterministic random stream keyed by (master_seed, stream_index).
-
-    Identical keys replay identical sequences; distinct stream indices give
-    statistically independent streams (counter-based Philox keying).  A
-    source is single-owner: concurrent tasks each construct their own with a
-    distinct stream_index instead of sharing one.
-    """
-
-    master_seed: int
-    stream_index: int = 0
-    _gen: np.random.Generator = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < 2**64):
-            raise DomainError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
-        if not (isinstance(self.stream_index, int) and self.stream_index >= 0):
-            raise DomainError(f"stream_index must be a nonnegative integer, got {self.stream_index!r}")
-        key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    def uniform(self) -> float:
-        """One draw from the open interval (0, 1); exact zeros are redrawn."""
-        u = self._gen.random()
-        while u == 0.0:
-            u = self._gen.random()
-        return float(u)
-
-    def uniforms(self, n: int) -> np.ndarray:
-        """n draws from (0, 1) as a float64 array."""
-        out = self._gen.random(n)
-        zeros = out == 0.0
-        while zeros.any():
-            out[zeros] = self._gen.random(int(zeros.sum()))
-            zeros = out == 0.0
-        return out
-
-    def poisson(self, mean: float) -> int:
-        """One Poisson(mean) draw; the mean must be finite and >= 0."""
-        if not (isinstance(mean, (int, float)) and math.isfinite(mean) and mean >= 0.0):
-            raise DomainError(f"poisson requires a finite mean >= 0, got {mean!r}")
-        return int(self._gen.poisson(mean))

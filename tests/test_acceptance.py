@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from histories import simulate_history, stream
 from plpcr.cli import main
 from plpcr.data import _HARVESTER_ROWS, FailureHistory, cause_stats, harvester_fixture
 from plpcr.inference import (
@@ -36,8 +37,8 @@ from plpcr.inference import (
     reference_posterior,
 )
 from plpcr.model import PlpCauseParams, SystemParams
-from plpcr.montecarlo import PRESET_SCENARIOS, Scenario, make_scenario, run_study, simulate_history
-from plpcr.numerics import GammaParams, RandomSource, gamma_quantile, reg_gamma_p
+from plpcr.montecarlo import PRESET_SCENARIOS, Scenario, make_scenario, run_study
+from plpcr.numerics import GammaParams, gamma_quantile, reg_gamma_p
 
 # Fixed acceptance-study seed.  The study is deterministic by contract, so
 # this realization is part of the suite.  At desk scale (M=1e4) the MRE cells
@@ -239,7 +240,7 @@ def test_criterion_7_oracle_suite():
             times: list[float] = []
             r = 0
             while len(times) < 100_000:
-                history = simulate_history(scenario, RandomSource(314, r))
+                history = simulate_history(scenario, stream(314, r))
                 times.extend(rec.time for rec in history.records)
                 r += 1
             u = np.sort((np.array(times[:100_000]) / T) ** beta)

@@ -1,4 +1,4 @@
-"""Duane point sets and failure histograms."""
+"""Duane point sets and their plot-ready CSV."""
 from __future__ import annotations
 
 import math
@@ -6,17 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from histories import simulate_history, stream
 from plpcr.data import FailureHistory, FailureRecord, harvester_fixture
-from plpcr.diagnostics import (
-    duane_csv,
-    duane_fit,
-    duane_points,
-    failure_histogram,
-    histogram_csv,
-)
-from plpcr.errors import DiagnosticError, DomainError
-from plpcr.montecarlo import make_scenario, simulate_history
-from plpcr.numerics import RandomSource
+from plpcr.diagnostics import duane_csv, duane_points
+from plpcr.errors import DiagnosticError
+from plpcr.montecarlo import make_scenario
 
 E = math.e
 
@@ -55,10 +49,11 @@ class TestDuanePoints:
         # Long simulated series: least-squares slope within 0.1 of beta.
         for beta in (0.8, 1.5):
             scenario = make_scenario((beta,), (600.0,), 5.0, seed=101)
-            history = simulate_history(scenario, RandomSource(101, 0))
+            history = simulate_history(scenario, stream(101, 0))
             series = duane_points(history, 1)
             assert len(series.points) >= 500
-            slope, _ = duane_fit(series)
+            log_time, log_count = np.array(series.points).T
+            slope, _ = np.polyfit(log_time, log_count, 1)
             assert abs(slope - beta) < 0.1
 
     def test_time_rescaling_shifts_log_time_only(self):
@@ -74,41 +69,6 @@ class TestDuanePoints:
             assert lc1 == lc0
 
 
-class TestFailureHistogram:
-    def test_empty_history(self):
-        bins = failure_histogram(FailureHistory((), 100.0, 1), 20.0)
-        assert len(bins) == 5
-        assert all(count == 0 for _, count in bins)
-
-    def test_harvester_20_day_bins(self):
-        bins = failure_histogram(harvester_fixture(), 20.0)
-        assert len(bins) == 13
-        assert sum(count for _, count in bins) == 48
-        # First interval holds the three earliest failures plus 15.850.
-        assert bins[0][1] == 4
-
-    def test_single_failure(self):
-        bins = failure_histogram(_single_cause([5.0], 100.0), 20.0)
-        assert bins[0] == (0.0, 1)
-        assert sum(c for _, c in bins) == 1
-
-    def test_counts_total_n_generic(self):
-        history = harvester_fixture()
-        for width in (1.0, 7.0, 20.0, 53.0, 300.0):
-            bins = failure_histogram(history, width)
-            assert sum(c for _, c in bins) == history.n
-
-    def test_partial_final_bin_included(self):
-        history = _single_cause([24.9], 25.0)
-        bins = failure_histogram(history, 10.0)
-        assert len(bins) == 3
-        assert bins[-1] == (20.0, 1)
-
-    def test_bad_width(self):
-        with pytest.raises(DomainError):
-            failure_histogram(harvester_fixture(), 0.0)
-
-
 class TestCsvEmission:
     def test_duane_csv_layout(self):
         series = duane_points(harvester_fixture(), 1)
@@ -120,11 +80,3 @@ class TestCsvEmission:
         assert cause == "1"
         assert float(log_count) == 0.0
         assert abs(float(log_time) - math.log(4.987)) < 1e-12
-
-    def test_histogram_csv_layout(self):
-        bins = failure_histogram(harvester_fixture(), 20.0)
-        lines = histogram_csv(bins).strip().splitlines()
-        assert lines[0] == "bin_start,count"
-        assert len(lines) == 14
-        start, count = lines[-1].split(",")
-        assert float(start) == 240.0

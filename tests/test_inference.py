@@ -2,14 +2,17 @@
 intervals, and the log-likelihood, each against an independent computation."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from histories import stream, uniforms
 from plpcr.data import CauseStats, FailureHistory, FailureRecord, cause_stats, harvester_fixture
 from plpcr.errors import (
     DomainError,
@@ -20,6 +23,7 @@ from plpcr.errors import (
 )
 from plpcr.inference import (
     ALL_METHODS,
+    EstimateTable,
     Method,
     Model,
     PointConvention,
@@ -37,7 +41,7 @@ from plpcr.inference import (
     reference_posterior,
 )
 from plpcr.model import PlpCauseParams, SystemParams, cumulative_intensity, intensity
-from plpcr.numerics import RandomSource, normal_quantile
+from plpcr.numerics import normal_quantile
 
 E = math.e
 
@@ -74,7 +78,6 @@ class TestMleDistinct:
         est = mle_distinct(stats)
         assert abs(est.beta[0] - 1.0) < 1e-14
         assert est.alpha == (1.0,)
-        assert abs(est.mu[0] - T) < 1e-13
 
     def test_two_records(self):
         T = 7.0
@@ -87,9 +90,6 @@ class TestMleDistinct:
         est = mle_distinct(_harvester_stats())
         np.testing.assert_allclose(est.beta, HARVESTER_BETA_HAT, rtol=1e-12)
         assert est.alpha == (10.0, 24.0, 14.0)
-        # mu_j = T * n_j^(-1/beta_j)
-        for mu, n, b in zip(est.mu, (10, 24, 14), est.beta):
-            assert abs(mu - 254.0 * n ** (-1.0 / b)) < 1e-9
 
     def test_requires_failures_everywhere(self):
         stats = cause_stats(_history([(1.0, 1)], 10.0, p=2))
@@ -430,9 +430,29 @@ class TestFitKernel:
             build_estimate_table(stats)
         with pytest.raises(DomainError):
             fit(Method.MLE, stats.counts, stats.log_sums, 0.95)
+        # The reference MLEs check each S_j: at -1 the pooled total is 0,
+        # at 0 it is positive.
+        stats = CauseStats((2, 3), (log_sum, 1.0), 10.0)
+        for estimator in (mle_distinct, mle_shared_shape, cmle,
+                          lambda s: cmle(s, Model.SHARED)):
+            with pytest.raises(DomainError, match=r"cause\(s\) 1$"):
+                estimator(stats)
+
+    def test_pooled_mles_accept_empty_cause(self):
+        # A cause without failures has S_j = 0, which the pooled model accepts.
+        stats = CauseStats((2, 3, 0), (0.5, 1.0, 0.0), 10.0)
+        assert mle_shared_shape(stats).beta == (5.0 / 1.5,)
+        assert cmle(stats, Model.SHARED).beta == (4.0 / 1.5,)
+
+    def test_method_spellings(self):
+        # A method named by its value gives the cells of the enum member.
+        for method in ALL_METHODS:
+            spelled = fit(method.value, (3, 7), (1.5, 4.0), 0.9)
+            for got, want in zip(spelled, fit(method, (3, 7), (1.5, 4.0), 0.9)):
+                assert [c.tolist() for c in got] == [c.tolist() for c in want]
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="expected one of mle, cmle, jeffreys, reference"):
             fit("wald", (2,), (1.0,), 0.95)
         with pytest.raises(DomainError):
             fit(Method.REFERENCE, (0,), (1.0,), 0.95)
@@ -528,8 +548,7 @@ class TestConditionalUnbiasedness:
         beta_true = 1.4
         n = 5
         M = 100_000
-        rng = RandomSource(77, 0)
-        u = rng.uniforms(M * n).reshape(M, n)
+        u = uniforms(stream(77, 0), M * n).reshape(M, n)
         log_terms = -np.log(u) / beta_true  # log(T/t) draws
         s = log_terms.sum(axis=1)
         corrected = (n - 1) / s
@@ -604,3 +623,79 @@ class TestEstimateTable:
         with pytest.raises(UnsupportedModelError):
             build_estimate_table(_harvester_stats(), methods=(Method.JEFFREYS,),
                                  model=Model.SHARED)
+
+    def test_method_spellings(self):
+        stats = _harvester_stats()
+        for model in Model:
+            spelled = build_estimate_table(stats, tuple(m.value for m in ALL_METHODS), model)
+            assert spelled == build_estimate_table(stats, ALL_METHODS, model)
+        assert (build_estimate_table(stats, ("reference", "mle"))
+                == build_estimate_table(stats, (Method.REFERENCE, Method.MLE)))
+        with pytest.raises(DomainError, match="'bogus'"):
+            build_estimate_table(stats, ("mle", "bogus"))
+
+
+@st.composite
+def _histories(draw, min_causes=1):
+    """A history of 1 to 30 failures over 1 to 4 causes, any of them empty."""
+    p = draw(st.integers(min_causes, 4))
+    T = draw(st.floats(1.0, 1000.0))
+    fractions = draw(st.lists(st.floats(1e-6, 1.0, exclude_max=True), min_size=1, max_size=30))
+    times = sorted({T * f for f in fractions} - {T})
+    causes = draw(st.lists(st.integers(1, p), min_size=len(times), max_size=len(times)))
+    return FailureHistory(tuple(map(FailureRecord, times, causes)), T, p)
+
+
+def _relabel(history: FailureHistory, label: dict[int, int], p: int) -> FailureHistory:
+    """The history with cause j renamed label[j]; causes missing from label are dropped."""
+    records = tuple(FailureRecord(r.time, label[r.cause])
+                    for r in history.records if r.cause in label)
+    return FailureHistory(records, history.truncation_time, p)
+
+
+def _renamer(label: dict[int, int]):
+    """Renames the cause indices in parameter names and warnings."""
+    pattern = re.compile(r"\b(beta_|alpha_|cause )(\d+)\b")
+    return lambda text: pattern.sub(lambda m: m[1] + str(label[int(m[2])]), text)
+
+
+def _rows(table: EstimateTable, rename=lambda name: name) -> dict:
+    return {(rename(r.parameter), r.method): dataclasses.replace(r, parameter=rename(r.parameter))
+            for r in table.rows}
+
+
+class TestLabelInvariance:
+    """Causes enter the likelihood as independent factors, so estimates do not
+    depend on how the causes are numbered or on which other causes are kept."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(history=_histories(), data=st.data(), model=st.sampled_from(list(Model)),
+           convention=st.sampled_from(list(PointConvention)))
+    def test_relabelling_permutes_rows(self, history, data, model, convention):
+        p = history.num_causes
+        label = dict(zip(range(1, p + 1), data.draw(st.permutations(range(1, p + 1)))))
+        rename = _renamer(label)
+        original = build_estimate_table(cause_stats(history), model=model,
+                                        convention=convention)
+        permuted = build_estimate_table(cause_stats(_relabel(history, label, p)), model=model,
+                                        convention=convention)
+        assert _rows(permuted) == _rows(original, rename)
+        assert sorted(permuted.warnings) == sorted(map(rename, original.warnings))
+
+    @settings(max_examples=100, deadline=None)
+    @given(history=_histories(min_causes=2), data=st.data(),
+           convention=st.sampled_from(list(PointConvention)))
+    def test_marginalization(self, history, data, convention):
+        # The larger history is the smaller one with cause k added, so this
+        # checks dropping a cause and adding one alike.
+        p = history.num_causes
+        k = data.draw(st.integers(1, p))
+        label = {j: i for i, j in enumerate((j for j in range(1, p + 1) if j != k), start=1)}
+        reduced = _relabel(history, label, p - 1)
+        assume(reduced.n > 0)
+        full = build_estimate_table(cause_stats(history), convention=convention)
+        part = build_estimate_table(cause_stats(reduced), convention=convention)
+        rename = _renamer({**label, k: 0})
+        others = {key: row for key, row in _rows(full, rename).items()
+                  if not key[0].endswith("_0")}
+        assert _rows(part) == others

@@ -8,14 +8,7 @@ import numpy as np
 import pytest
 
 from plpcr.errors import DomainError
-from plpcr.model import (
-    PlpCauseParams,
-    SystemParams,
-    alpha_from_mu,
-    cumulative_intensity,
-    intensity,
-    mu_from_alpha,
-)
+from plpcr.model import PlpCauseParams, SystemParams, cumulative_intensity, intensity
 
 
 class TestIntensity:
@@ -90,36 +83,6 @@ class TestCumulativeIntensity:
     def test_rejects_negative_time(self):
         with pytest.raises(DomainError):
             cumulative_intensity(PlpCauseParams(1.0, 1.0), 1.0, -0.1)
-
-
-class TestScaleCountConversions:
-    def test_identity_scale(self):
-        assert mu_from_alpha(1.0, 1.0, 7.0) == 7.0
-
-    def test_known_values(self):
-        assert abs(mu_from_alpha(2.0, 4.0, 2.0) - 1.0) < 1e-15
-        assert abs(alpha_from_mu(2.0, 1.0, 2.0) - 4.0) < 1e-15
-        assert abs(alpha_from_mu(0.5, 4.0, 16.0) - 2.0) < 1e-15
-
-    def test_derived_scale_reproduces_count(self):
-        # Back-substitution: (T / mu)^beta must return the expected count.
-        mu = mu_from_alpha(1.5, 6.45, 5.5)
-        assert abs(mu - 1.5872897547056046) < 1e-12
-        assert abs(alpha_from_mu(1.5, mu, 5.5) - 6.45) <= 1e-12 * 6.45
-
-    def test_roundtrip_grid(self):
-        for beta in (0.25, 1.0, 2.0, 5.5):
-            for alpha in (0.1, 1.0, 42.0):
-                for T in (0.5, 5.5, 254.0):
-                    mu = mu_from_alpha(beta, alpha, T)
-                    back = alpha_from_mu(beta, mu, T)
-                    assert abs(back - alpha) <= 1e-12 * alpha
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            mu_from_alpha(0.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            alpha_from_mu(1.0, -1.0, 1.0)
 
 
 class TestSystemParams:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from histories import simulate_history, stream
 from plpcr import inference, montecarlo
 from plpcr.data import CauseStats, cause_stats
 from plpcr.errors import DomainError, StudyError, ValidationError
@@ -29,15 +30,14 @@ from plpcr.montecarlo import (
     make_scenario,
     parse_scenario,
     run_study,
-    simulate_history,
 )
-from plpcr.numerics import RandomSource, normal_quantile
+from plpcr.numerics import normal_quantile
 
 
 class TestSimulateHistory:
     def test_structure(self):
         scenario = PRESET_SCENARIOS["scenario1"]
-        history = simulate_history(scenario, RandomSource(42, 0))
+        history = simulate_history(scenario, stream(42, 0))
         T = scenario.params.truncation_time
         times = [r.time for r in history.records]
         assert all(0.0 < t < T for t in times)
@@ -46,13 +46,13 @@ class TestSimulateHistory:
 
     def test_empty_history_valid(self):
         scenario = make_scenario((1.0,), (1e-9,), 1.0, seed=1)
-        history = simulate_history(scenario, RandomSource(1, 0))
+        history = simulate_history(scenario, stream(1, 0))
         assert history.n == 0
 
     def test_replay(self):
         scenario = PRESET_SCENARIOS["scenario3"]
-        a = simulate_history(scenario, RandomSource(7, 123))
-        b = simulate_history(scenario, RandomSource(7, 123))
+        a = simulate_history(scenario, stream(7, 123))
+        b = simulate_history(scenario, stream(7, 123))
         assert a == b
 
     def test_count_mean(self):
@@ -61,7 +61,7 @@ class TestSimulateHistory:
         reps = 100_000
         total = 0
         for r in range(reps):
-            history = simulate_history(scenario, RandomSource(2001, r))
+            history = simulate_history(scenario, stream(2001, r))
             total += sum(1 for rec in history.records if rec.cause == 1)
         mean = total / reps
         assert abs(mean - 6.45) < 3.0 * math.sqrt(6.45 / reps)
@@ -71,7 +71,7 @@ class TestSimulateHistory:
         scenario = make_scenario((1.0,), (50.0,), 4.0, seed=5)
         times = []
         for r in range(400):
-            history = simulate_history(scenario, RandomSource(5, r))
+            history = simulate_history(scenario, stream(5, r))
             times.extend(rec.time for rec in history.records)
         times = np.sort(np.array(times)) / 4.0
         ecdf = np.arange(1, len(times) + 1) / len(times)
@@ -86,7 +86,7 @@ class TestSimulateHistory:
         times = []
         r = 0
         while len(times) < 100_000:
-            history = simulate_history(scenario, RandomSource(31, r))
+            history = simulate_history(scenario, stream(31, r))
             times.extend(rec.time for rec in history.records)
             r += 1
         u = np.sort((np.array(times[:100_000]) / T) ** beta)
@@ -161,6 +161,9 @@ class TestScenarios:
             Scenario(params, 10, -1)
         with pytest.raises(DomainError):
             Scenario(params, 10, 42, level=1.0)
+        for level in ("0.5", None, True):
+            with pytest.raises(DomainError, match="level"):
+                Scenario(params, 10, 1, level=level)
         # bool is an int subclass; a flag is never a count or a seed.
         with pytest.raises(DomainError):
             Scenario(params, True, 1)
@@ -228,6 +231,16 @@ class TestRunStudy:
         for parameter in ("beta_1", "beta_2"):
             assert (report.row(parameter, Method.CMLE).cp
                     < report.row(parameter, Method.MLE).cp)
+
+    def test_method_spellings(self):
+        # Methods named by their values give the report of the enum members.
+        scenario = Scenario(PRESET_SCENARIOS["scenario1"].params, 256, 5)
+        for methods in (ALL_METHODS, (Method.REFERENCE,), (Method.MLE, Method.JEFFREYS)):
+            spelled = run_study(scenario, methods=tuple(m.value for m in methods))
+            assert spelled.to_json() == run_study(scenario, methods=methods).to_json()
+            assert spelled.to_csv() == run_study(scenario, methods=methods).to_csv()
+        with pytest.raises(DomainError, match="'bogus'"):
+            run_study(scenario, methods=("mle", "bogus"))
 
     def test_all_discarded_raises(self):
         scenario = make_scenario((1.0, 1.0), (0.01, 0.01), 1.0, replications=64, seed=8)
@@ -336,7 +349,7 @@ class TestEngine:
         # Gamma(n_j, 1) through its CDF, for both samplers.
         scenario = Scenario(PRESET_SCENARIOS["scenario1"].params, 1, 61)
         block_n, block_s, block_discarded = montecarlo._draw_block(scenario, 0, 20_000)
-        rows = [cause_stats(simulate_history(scenario, RandomSource(61, r)))
+        rows = [cause_stats(simulate_history(scenario, stream(61, r)))
                 for r in range(10_000)]
         kept = [r for r in rows if min(r.counts) >= 2]
         event_n = np.array([r.counts for r in kept])

@@ -1,5 +1,6 @@
-"""Kernel tests: special functions against independent oracles, quantile
-round-trips, and the determinism/distribution contracts of the random source."""
+"""Kernel tests: special functions against independent oracles and quantile
+round-trips; plus the determinism and distribution contracts of the random
+streams that the tests' event-level simulator (histories.py) draws from."""
 from __future__ import annotations
 
 import math
@@ -8,39 +9,12 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from histories import stream, uniforms
 from plpcr.errors import DomainError
-from plpcr.numerics import (
-    GammaParams,
-    RandomSource,
-    gamma_quantile,
-    ln_gamma,
-    normal_quantile,
-    reg_gamma_p,
-)
+from plpcr.numerics import GammaParams, gamma_quantile, normal_quantile, reg_gamma_p
 
 QUANTILE_SHAPES = (0.5, 1.0, 5.0, 10.0, 24.5, 100.0)
 QUANTILE_PROBS = (0.005, 0.025, 0.5, 0.975, 0.995)
-
-
-class TestLnGamma:
-    def test_integer_values(self):
-        assert ln_gamma(1.0) == 0.0
-        assert ln_gamma(2.0) == 0.0
-
-    def test_half(self):
-        # Gamma(1/2) = sqrt(pi)
-        assert abs(ln_gamma(0.5) - 0.5 * math.log(math.pi)) < 1e-15
-
-    def test_wide_range_against_scipy(self):
-        from scipy.special import gammaln
-        for a in (1e-3, 0.1, 0.7, 3.3, 42.0, 500.0, 1e6):
-            mine, ref = ln_gamma(a), gammaln(a)
-            assert abs(mine - ref) <= 1e-12 + 1e-13 * abs(ref)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-    def test_domain(self, bad):
-        with pytest.raises(DomainError):
-            ln_gamma(bad)
 
 
 class TestRegGammaP:
@@ -144,58 +118,43 @@ class TestNormalQuantile:
 
 
 class TestRandomSource:
+    """histories.stream and histories.uniforms."""
+
     def test_replay_identical(self):
-        a = RandomSource(987654321, 5)
-        b = RandomSource(987654321, 5)
-        assert [a.uniform() for _ in range(100)] == [b.uniform() for _ in range(100)]
-        np.testing.assert_array_equal(a.uniforms(50), b.uniforms(50))
+        a = stream(987654321, 5)
+        b = stream(987654321, 5)
+        for n in (100, 50):
+            np.testing.assert_array_equal(uniforms(a, n), uniforms(b, n))
 
     def test_streams_differ(self):
-        a = RandomSource(987654321, 5)
-        b = RandomSource(987654321, 6)
-        assert a.uniform() != b.uniform()
+        a = stream(987654321, 5)
+        b = stream(987654321, 6)
+        assert uniforms(a, 1)[0] != uniforms(b, 1)[0]
 
     def test_uniform_open_interval(self):
-        rng = RandomSource(11, 0)
-        draws = rng.uniforms(100_000)
+        draws = uniforms(stream(11, 0), 100_000)
         assert draws.min() > 0.0
         assert draws.max() < 1.0
 
     def test_uniform_mean(self):
-        rng = RandomSource(12, 0)
-        draws = rng.uniforms(100_000)
+        draws = uniforms(stream(12, 0), 100_000)
         assert abs(draws.mean() - 0.5) < 0.005
-
-    def test_scalar_matches_contract(self):
-        rng = RandomSource(13, 0)
-        u = rng.uniform()
-        assert isinstance(u, float)
-        assert 0.0 < u < 1.0
-
-    def test_bad_keys(self):
-        with pytest.raises(DomainError):
-            RandomSource(-1, 0)
-        with pytest.raises(DomainError):
-            RandomSource(2**64, 0)
-        with pytest.raises(DomainError):
-            RandomSource(1, -2)
 
 
 class TestSamplePoisson:
-    """RandomSource.poisson, the count draw of the event-level history simulator."""
+    """The Poisson draw of a stream, the count draw of the event-level simulator."""
 
     def test_zero_mean(self):
-        rng = RandomSource(1, 0)
-        assert rng.poisson(0.0) == 0
+        assert stream(1, 0).poisson(0.0) == 0
 
     def test_law_of_large_numbers(self):
-        rng = RandomSource(2024, 0)
+        rng = stream(2024, 0)
         n = 100_000
         draws = np.array([rng.poisson(6.45) for _ in range(n)])
         assert abs(draws.mean() - 6.45) < 3.0 * math.sqrt(6.45 / n)
 
     def test_variance_at_large_mean(self):
-        rng = RandomSource(2025, 0)
+        rng = stream(2025, 0)
         draws = np.array([rng.poisson(100.0) for _ in range(100_000)])
         assert abs(draws.var() - 100.0) < 5.0
 
@@ -203,7 +162,7 @@ class TestSamplePoisson:
     def test_goodness_of_fit(self, mean):
         # Chi-square against the analytic mass function, tails pooled so that
         # every expected count is at least 5.
-        rng = RandomSource(99991, int(mean * 100))
+        rng = stream(99991, int(mean * 100))
         n = 100_000
         draws = np.array([rng.poisson(mean) for _ in range(n)])
         kmax = int(mean + 8.0 * math.sqrt(mean) + 10)
@@ -227,10 +186,3 @@ class TestSamplePoisson:
         ) * n
         _, p_value = stats.chisquare(observed, expected)
         assert p_value > 0.001
-
-    def test_domain(self):
-        rng = RandomSource(3, 0)
-        with pytest.raises(DomainError):
-            rng.poisson(-1.0)
-        with pytest.raises(DomainError):
-            rng.poisson(math.inf)
