@@ -34,7 +34,6 @@ from .inference import (
     Model,
     PointConvention,
     PosteriorSpec,
-    PriorFamily,
     alpha_laws_from_counts,
     bayes_points,
     build_estimate_table,

@@ -128,11 +128,11 @@ def _cmd_fit(args) -> int:
     if args.methods:
         methods = _parse_methods(args.methods)
     elif args.prior:
-        methods = (Method(args.prior),)
+        methods = (args.prior,)
     else:
         methods = ALL_METHODS
-    convention = PointConvention.MEAN if args.paper_compat else PointConvention(args.point)
-    table = build_estimate_table(stats, methods=methods, model=Model(args.model),
+    convention = PointConvention.MEAN if args.paper_compat else args.point
+    table = build_estimate_table(stats, methods=methods, model=args.model,
                                  level=args.level, convention=convention)
     _warn_records(table.warnings)
     if args.format == "csv":

@@ -16,6 +16,11 @@ from dataclasses import dataclass
 from .errors import ValidationError
 
 
+def _is_real(value) -> bool:
+    # A bool is a number to Python but never a time or a count.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FailureRecord:
     """One failure: the event time and the cause label that produced it."""
@@ -39,9 +44,10 @@ class FailureHistory:
 
     def __post_init__(self) -> None:
         T = self.truncation_time
-        if not (isinstance(T, (int, float)) and math.isfinite(T) and T > 0.0):
+        if not (_is_real(T) and math.isfinite(T) and T > 0.0):
             raise ValidationError(f"truncation_time must be a positive real, got {T!r}")
-        if not (isinstance(self.num_causes, int) and self.num_causes >= 1):
+        if not (_is_real(self.num_causes) and isinstance(self.num_causes, int)
+                and self.num_causes >= 1):
             raise ValidationError(f"num_causes must be a positive integer, got {self.num_causes!r}")
         previous = 0.0
         for i, rec in enumerate(self.records, start=1):
@@ -93,8 +99,8 @@ def parse_history(text: str, truncation_time: float,
     to represent trailing causes with zero observed failures.  Malformed rows
     raise ValidationError naming the offending line.
     """
-    if not (isinstance(truncation_time, (int, float))
-            and math.isfinite(truncation_time) and truncation_time > 0.0):
+    if not (_is_real(truncation_time) and math.isfinite(truncation_time)
+            and truncation_time > 0.0):
         raise ValidationError(f"truncation_time must be a positive real, got {truncation_time!r}")
     records: list[FailureRecord] = []
     reader = csv.reader(io.StringIO(text))

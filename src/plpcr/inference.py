@@ -15,9 +15,15 @@ exactly, so the Bayes and CMLE point estimates coincide for beta; for alpha
 all methods use the unbiased count n_j.  Under the shared-shape model the
 Jeffreys posterior has no closed form and is refused explicitly.
 
-Every cell of an estimate table or a replication study comes from one
-elementwise kernel, ``fit``, over arrays of counts and log sums; the
-estimator functions are its reference implementations.
+Each rule is decided once: ``Method`` names the two priors, whose only
+difference is the alpha shape offset in ``_ALPHA_SHAPE_OFFSET``, and every
+public entry accepts a ``Model``, ``Method`` or ``PointConvention`` member or
+its value, refusing any other value with a DomainError.  Every cell of an
+estimate table or a replication study comes from the same two elementwise
+cell builders over arrays of counts and log sums: a study reaches them
+through the kernel ``fit``, a table directly, with the pooled beta of the
+shared-shape model as a one-element array.  The estimator functions are
+their reference implementations.
 """
 from __future__ import annotations
 
@@ -45,11 +51,6 @@ class Model(str, Enum):
     SHARED = "shared"
 
 
-class PriorFamily(str, Enum):
-    JEFFREYS = "jeffreys"
-    REFERENCE = "reference"
-
-
 class Method(str, Enum):
     MLE = "mle"
     CMLE = "cmle"
@@ -66,6 +67,9 @@ class PointConvention(str, Enum):
 
 ALL_METHODS: tuple[Method, ...] = (Method.MLE, Method.CMLE, Method.JEFFREYS, Method.REFERENCE)
 
+# The Bayes methods; the alpha posterior of cause j is Gamma(n_j + offset, 1).
+_ALPHA_SHAPE_OFFSET = {Method.JEFFREYS: 1.0, Method.REFERENCE: 0.5}
+
 
 @dataclass(frozen=True)
 class MlEstimates:
@@ -81,7 +85,7 @@ class MlEstimates:
 class PosteriorSpec:
     """Closed-form posterior: independent gamma laws, one per parameter."""
 
-    prior_family: PriorFamily
+    method: Method
     model: Model
     beta_laws: tuple[GammaParams, ...]
     alpha_laws: tuple[GammaParams, ...]
@@ -126,12 +130,16 @@ class EstimateTable:
     warnings: tuple[str, ...] = ()
 
 
-def _as_method(value) -> Method:
+_KIND_NAMES = {Model: "model", Method: "method", PointConvention: "point convention"}
+
+
+def _as(kind: type[Enum], value):
+    """The member of `kind` that `value` is or names; DomainError otherwise."""
     try:
-        return Method(value)
+        return kind(value)
     except ValueError:
-        raise DomainError(f"unknown method {value!r}; expected one of "
-                          f"{', '.join(m.value for m in Method)}") from None
+        raise DomainError(f"unknown {_KIND_NAMES[kind]} {value!r}; expected one of "
+                          f"{', '.join(m.value for m in kind)}") from None
 
 
 def _check_level(level: float) -> None:
@@ -207,6 +215,7 @@ def cmle(stats: CauseStats, model: Model = Model.DISTINCT) -> MlEstimates:
     The correction makes the beta estimator conditionally unbiased given the
     counts; it degenerates to 0 at a single failure, hence the n >= 2 floor.
     """
+    model = _as(Model, model)
     if model is Model.DISTINCT:
         _require_counts(stats, 2, "the bias-corrected MLE")
         base = mle_distinct(stats)
@@ -221,19 +230,27 @@ def cmle(stats: CauseStats, model: Model = Model.DISTINCT) -> MlEstimates:
     return MlEstimates(model, beta, base.alpha)
 
 
-def _beta_laws(stats: CauseStats, model: Model) -> tuple[GammaParams, ...]:
-    # Gamma(n_j, n_j / beta_hat_j); the rate n_j / beta_hat_j is exactly S_j.
-    if model is Model.SHARED:
-        return (GammaParams(float(stats.n), stats.log_sum_total),)
-    return tuple(GammaParams(float(n), s) for n, s in zip(stats.counts, stats.log_sums))
-
-
-def _check_proper(stats: CauseStats, family: str) -> None:
+def _posterior(method: Method, stats: CauseStats, model) -> PosteriorSpec:
+    """The closed-form posterior of a Bayes method; see reference_posterior."""
+    model = _as(Model, model)
+    if method is Method.JEFFREYS and model is Model.SHARED:
+        raise UnsupportedModelError(
+            "the shared-shape Jeffreys posterior has no closed form; "
+            "use the reference posterior for pooled-shape inference")
     bad = [j + 1 for j, n in enumerate(stats.counts) if n < 1]
     if bad:
+        name = "Jeffreys" if method is Method.JEFFREYS else "reference"
         raise ImproperPosteriorError(
-            f"the {family} posterior is improper: no failures for cause(s) "
+            f"the {name} posterior is improper: no failures for cause(s) "
             f"{', '.join(map(str, bad))}")
+    # Gamma(n_j, n_j / beta_hat_j); the rate n_j / beta_hat_j is exactly S_j.
+    if model is Model.SHARED:
+        beta_laws = (GammaParams(float(stats.n), stats.log_sum_total),)
+    else:
+        beta_laws = tuple(GammaParams(float(n), s) for n, s in zip(stats.counts, stats.log_sums))
+    offset = _ALPHA_SHAPE_OFFSET[method]
+    alpha_laws = tuple(GammaParams(n + offset, 1.0) for n in stats.counts)
+    return PosteriorSpec(method, model, beta_laws, alpha_laws, stats.counts)
 
 
 def reference_posterior(stats: CauseStats, model: Model = Model.DISTINCT) -> PosteriorSpec:
@@ -244,10 +261,7 @@ def reference_posterior(stats: CauseStats, model: Model = Model.DISTINCT) -> Pos
     Gamma(n_j + 1/2, 1) for each alpha.  Proper whenever every cause has at
     least one failure.
     """
-    _check_proper(stats, "reference")
-    alpha_laws = tuple(GammaParams(n + 0.5, 1.0) for n in stats.counts)
-    return PosteriorSpec(PriorFamily.REFERENCE, model, _beta_laws(stats, model), alpha_laws,
-                         stats.counts)
+    return _posterior(Method.REFERENCE, stats, model)
 
 
 def jeffreys_posterior(stats: CauseStats, model: Model = Model.DISTINCT) -> PosteriorSpec:
@@ -257,26 +271,22 @@ def jeffreys_posterior(stats: CauseStats, model: Model = Model.DISTINCT) -> Post
     Gamma(n_j + 1, 1).  Under a shared shape the Jeffreys posterior is not a
     product of gamma laws, so that request is refused rather than approximated.
     """
-    if model is Model.SHARED:
-        raise UnsupportedModelError(
-            "the shared-shape Jeffreys posterior has no closed form; "
-            "use the reference posterior for pooled-shape inference")
-    _check_proper(stats, "Jeffreys")
-    alpha_laws = tuple(GammaParams(n + 1.0, 1.0) for n in stats.counts)
-    return PosteriorSpec(PriorFamily.JEFFREYS, Model.DISTINCT, _beta_laws(stats, model), alpha_laws,
-                         stats.counts)
+    return _posterior(Method.JEFFREYS, stats, model)
 
 
 def alpha_laws_from_counts(counts: tuple[int, ...] | list[int],
-                           prior_family: PriorFamily = PriorFamily.REFERENCE,
-                           ) -> tuple[GammaParams, ...]:
-    """Marginal alpha posteriors from failure counts alone.
+                           method: Method = Method.REFERENCE) -> tuple[GammaParams, ...]:
+    """Marginal alpha posteriors of a Bayes method from failure counts alone.
 
     The alpha laws depend on the data only through the counts, so datasets
     whose raw failure times were never published (only totals per cause) still
     admit exact interval estimates for the expected counts.
     """
-    offset = 0.5 if prior_family is PriorFamily.REFERENCE else 1.0
+    method = _as(Method, method)
+    offset = _ALPHA_SHAPE_OFFSET.get(method)
+    if offset is None:
+        raise DomainError(f"alpha laws need a Bayes method (jeffreys or reference), "
+                          f"got {method.value!r}")
     laws = []
     for j, n in enumerate(counts, start=1):
         if not (isinstance(n, int) and n >= 1):
@@ -294,6 +304,7 @@ def bayes_points(post: PosteriorSpec,
     reported via the degeneracy flags.  alpha always uses the unbiased count
     n_j, which sits between the posterior mode and mean.
     """
+    convention = _as(PointConvention, convention)
     if convention is PointConvention.MAP:
         beta = tuple(law.mode for law in post.beta_laws)
         degenerate = tuple(law.shape <= 1.0 for law in post.beta_laws)
@@ -347,10 +358,6 @@ class Cells(NamedTuple):
     hi: np.ndarray
 
 
-# The alpha posterior of cause j is Gamma(n_j + offset, 1).
-_ALPHA_SHAPE_OFFSET = {Method.JEFFREYS: 1.0, Method.REFERENCE: 0.5}
-
-
 def _std_quantiles(shapes: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
     """Equal-tail quantiles of the unit-rate gammas of `shapes`, one cached
     lookup per element and tail; a study passes one element per distinct count."""
@@ -366,9 +373,11 @@ def _wald(point: np.ndarray, sd: np.ndarray, level: float) -> Cells:
 
 def _beta_cells(method: Method, n: np.ndarray, s: np.ndarray, level: float,
                 convention: PointConvention) -> Cells:
-    if not (np.all(n >= 1.0) and np.all((s > 0.0) & (s < math.inf))):
-        raise DomainError("beta cells need counts >= 1 and positive finite log sums, "
-                          f"got counts {n.tolist()!r} and log sums {s.tolist()!r}")
+    if not (n.shape == s.shape and np.all((n >= 1.0) & (n < math.inf) & (n == np.floor(n)))
+            and np.all((s > 0.0) & (s < math.inf))):
+        raise DomainError("beta cells need integral finite counts >= 1 and positive finite "
+                          f"log sums of one shape, got counts {n.tolist()!r} and log sums "
+                          f"{s.tolist()!r}")
     if method is Method.MLE or method is Method.CMLE:
         point = (n if method is Method.MLE else n - 1.0) / s
         return _wald(point, point / np.sqrt(n), level)
@@ -396,11 +405,14 @@ def fit(method: Method, counts, log_sums, level: float,
     intervals of Gamma(n, S) and Gamma(n + 1 or n + 1/2, 1), the posterior
     mode (map) or mean as the beta point and n as the alpha point.
     """
-    method = _as_method(method)
+    method, convention = _as(Method, method), _as(PointConvention, convention)
     _check_level(level)
-    n = np.asarray(counts, dtype=float)
-    return (_beta_cells(method, n, np.asarray(log_sums, dtype=float), level, convention),
-            _alpha_cells(method, n, level))
+    try:
+        n, s = np.asarray(counts, dtype=float), np.asarray(log_sums, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"counts and log sums must be numeric, got {counts!r} "
+                          f"and {log_sums!r}") from None
+    return _beta_cells(method, n, s, level, convention), _alpha_cells(method, n, level)
 
 
 def build_estimate_table(stats: CauseStats,
@@ -417,40 +429,49 @@ def build_estimate_table(stats: CauseStats,
     as is a MAP beta point of 0 (a single failure).  Raises EstimationError
     when nothing at all is estimable.
     """
-    methods = tuple(_as_method(m) for m in methods)
+    methods = tuple(_as(Method, m) for m in methods)
+    model, convention = _as(Model, model), _as(PointConvention, convention)
     _check_level(level)
     if stats.n == 0:
         raise EstimationError("no failures observed")
     pooled = model is Model.SHARED
+    if pooled and Method.JEFFREYS in methods and set(methods) != set(ALL_METHODS):
+        raise UnsupportedModelError("the shared-shape Jeffreys posterior has no closed form")
     usable = [j for j in range(1, stats.num_causes + 1) if stats.counts[j - 1] >= 1]
     warnings = [f"cause {j}: no failures observed; excluded from estimation"
                 for j in range(1, stats.num_causes + 1) if stats.counts[j - 1] == 0]
-    method_causes: dict[Method, list[int]] = {}
+    cells: dict[tuple[str, Method], tuple[float, ...]] = {}
     for method in methods:
+        keep = usable
         if method is Method.JEFFREYS and pooled:
-            if set(methods) != set(ALL_METHODS):
-                raise UnsupportedModelError(
-                    "the shared-shape Jeffreys posterior has no closed form")
+            keep = []
             warnings.append("jeffreys: no closed-form posterior under the shared-shape "
                             "model; rows omitted")
-            method_causes[method] = []
+        elif method is Method.CMLE and pooled and stats.n < 2:
+            keep = []
+            warnings.append("fewer than 2 failures in total; bias-corrected rows omitted")
+        elif method is Method.CMLE and not pooled:
+            keep = [j for j in usable if stats.counts[j - 1] >= 2]
+            warnings.extend(f"cause {j}: single failure; bias-corrected estimate "
+                            "degenerates at 0; excluded from cmle rows"
+                            for j in usable if j not in keep)
+        if not keep:
             continue
-        if method is Method.CMLE:
-            if pooled:
-                keep = usable if stats.n >= 2 else []
-                if not keep:
-                    warnings.append("fewer than 2 failures in total; bias-corrected "
-                                    "rows omitted")
-            else:
-                keep = [j for j in usable if stats.counts[j - 1] >= 2]
-                warnings.extend(f"cause {j}: single failure; bias-corrected estimate "
-                                "degenerates at 0; excluded from cmle rows"
-                                for j in usable if j not in keep)
-            method_causes[method] = keep
+        counts = np.array([stats.counts[j - 1] for j in keep], dtype=float)
+        if pooled:
+            beta_names = ["beta"]
+            beta = _beta_cells(method, np.array([float(stats.n)]),
+                               np.array([stats.log_sum_total]), level, convention)
         else:
-            method_causes[method] = usable
-    if convention is PointConvention.MAP and any(
-            method_causes[m] for m in methods if m in _ALPHA_SHAPE_OFFSET):
+            beta_names = [f"beta_{j}" for j in keep]
+            beta = _beta_cells(method, counts, np.array([stats.log_sums[j - 1] for j in keep]),
+                               level, convention)
+        alpha = _alpha_cells(method, counts, level)
+        for family_names, family in ((beta_names, beta), ([f"alpha_{j}" for j in keep], alpha)):
+            # tolist() gives Python floats, whose repr the csv rendering relies on.
+            for name, row in zip(family_names, zip(*(c.tolist() for c in family))):
+                cells[name, method] = row
+    if convention is PointConvention.MAP and any(m in _ALPHA_SHAPE_OFFSET for _, m in cells):
         if pooled:
             single = ["beta"] if stats.n == 1 else []
         else:
@@ -460,24 +481,6 @@ def build_estimate_table(stats: CauseStats,
                         for label in single)
     names = ["beta"] if pooled else [f"beta_{j}" for j in usable]
     names += [f"alpha_{j}" for j in usable]
-    cells: dict[tuple[str, Method], tuple[float, ...]] = {}
-    for method in methods:
-        keep = method_causes[method]
-        if not keep:
-            continue
-        counts = np.array([stats.counts[j - 1] for j in keep], dtype=float)
-        log_sums = [stats.log_sums[j - 1] for j in keep]
-        if pooled:
-            beta = _beta_cells(method, np.array([float(stats.n)]),
-                               np.array([math.fsum(log_sums)]), level, convention)
-            alpha = _alpha_cells(method, counts, level)
-        else:
-            beta, alpha = fit(method, counts, log_sums, level, convention)
-        beta_names = ["beta"] if pooled else [f"beta_{j}" for j in keep]
-        for family_names, family in ((beta_names, beta), ([f"alpha_{j}" for j in keep], alpha)):
-            # tolist() gives Python floats, whose repr the csv rendering relies on.
-            for name, row in zip(family_names, zip(*(c.tolist() for c in family))):
-                cells[name, method] = row
     rows = tuple(EstimateRow(name, method, *cells[name, method], level)
                  for name in names for method in methods if (name, method) in cells)
     return EstimateTable(rows, tuple(warnings))

@@ -13,7 +13,9 @@ from .errors import DomainError
 
 
 def _require_positive(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
+    # A bool is a number to Python but never a shape, a count or a time.
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0.0):
         raise DomainError(f"{name} must be a positive real, got {value!r}")
 
 
@@ -28,7 +30,8 @@ class PlpCauseParams:
     def __post_init__(self) -> None:
         _require_positive("beta", self.beta)
         _require_positive("alpha", self.alpha)
-        if not (isinstance(self.cause_id, int) and self.cause_id >= 1):
+        if not (isinstance(self.cause_id, int) and not isinstance(self.cause_id, bool)
+                and self.cause_id >= 1):
             raise DomainError(f"cause_id must be a positive integer, got {self.cause_id!r}")
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StudyError, ValidationError
-from .inference import ALL_METHODS, Method, _as_method, fit
+from .inference import ALL_METHODS, Method, _as, _check_level, fit
 from .model import PlpCauseParams, SystemParams
 
 _BLOCK = 65_536  # replications per random stream; part of the determinism contract
@@ -51,9 +51,7 @@ class Scenario:
             raise DomainError(f"replications must be a positive integer, got {self.replications!r}")
         if not (_is_int(self.master_seed) and 0 <= self.master_seed < 2**64):
             raise DomainError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
-        if (isinstance(self.level, bool) or not isinstance(self.level, numbers.Real)
-                or not 0.0 < self.level < 1.0):
-            raise DomainError(f"level must lie in (0, 1), got {self.level!r}")
+        _check_level(self.level)
 
 
 @dataclass(frozen=True)
@@ -259,7 +257,7 @@ def run_study(scenario: Scenario, methods: tuple[Method, ...] = ALL_METHODS,
         raise DomainError("at least one method is required")
     if not (isinstance(workers, int) and workers >= 1):
         raise DomainError(f"workers must be a positive integer, got {workers!r}")
-    methods = tuple(_as_method(m) for m in methods)
+    methods = tuple(_as(Method, m) for m in methods)
     M = scenario.replications
     p = scenario.params.num_causes
     sums = np.zeros((3, len(methods), 2 * p))

@@ -6,6 +6,7 @@ work with no dependency beyond the standard library.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,10 +27,11 @@ class GammaParams:
     rate: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.shape) and self.shape > 0.0):
-            raise DomainError(f"gamma shape must be a positive real, got {self.shape!r}")
-        if not (math.isfinite(self.rate) and self.rate > 0.0):
-            raise DomainError(f"gamma rate must be a positive real, got {self.rate!r}")
+        for name, value in (("shape", self.shape), ("rate", self.rate)):
+            # A bool is a number to Python but never a gamma parameter.
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and math.isfinite(value) and value > 0.0):
+                raise DomainError(f"gamma {name} must be a positive real, got {value!r}")
 
     @property
     def mean(self) -> float:

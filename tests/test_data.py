@@ -93,6 +93,14 @@ class TestFailureHistoryValidation:
     def test_rejects_time_at_truncation(self):
         with pytest.raises(ValidationError):
             FailureHistory((FailureRecord(10.0, 1),), 10.0, 1)
+        # bool is an int subclass; a flag is never a window end or a count.
+        for T in (True, "10", None):
+            with pytest.raises(ValidationError, match="truncation_time"):
+                FailureHistory((), T, 1)
+            with pytest.raises(ValidationError, match="truncation_time"):
+                parse_history(_csv([(0.5, 1)]), T)
+        with pytest.raises(ValidationError, match="num_causes"):
+            FailureHistory((), 10.0, True)
 
     def test_rejects_cause_above_p(self):
         with pytest.raises(ValidationError):

@@ -27,7 +27,6 @@ from plpcr.inference import (
     Method,
     Model,
     PointConvention,
-    PriorFamily,
     alpha_laws_from_counts,
     bayes_points,
     build_estimate_table,
@@ -41,7 +40,7 @@ from plpcr.inference import (
     reference_posterior,
 )
 from plpcr.model import PlpCauseParams, SystemParams, cumulative_intensity, intensity
-from plpcr.numerics import normal_quantile
+from plpcr.numerics import GammaParams, normal_quantile
 
 E = math.e
 
@@ -162,7 +161,7 @@ class TestPosteriors:
     def test_reference_laws(self):
         stats = _harvester_stats()
         post = reference_posterior(stats)
-        assert post.prior_family is PriorFamily.REFERENCE
+        assert post.method is Method.REFERENCE
         for law, n, s in zip(post.beta_laws, stats.counts, stats.log_sums):
             assert law.shape == float(n)
             assert law.rate == s  # n / beta_hat collapses to the log sum
@@ -208,7 +207,7 @@ class TestPosteriors:
     def test_warranty_count_laws(self):
         laws = alpha_laws_from_counts((99, 118, 155))
         assert [law.shape for law in laws] == [99.5, 118.5, 155.5]
-        jeff = alpha_laws_from_counts((99, 118, 155), PriorFamily.JEFFREYS)
+        jeff = alpha_laws_from_counts((99, 118, 155), Method.JEFFREYS)
         assert [law.shape for law in jeff] == [100.0, 119.0, 156.0]
 
     def test_scale_equivariance(self):
@@ -406,6 +405,52 @@ class TestFitKernel:
                     assert (cells.lo[j], cells.hi[j]) == credible_interval(
                         post, f"{kind}_{j + 1}", level)
 
+    @settings(max_examples=150, deadline=None)
+    @given(causes=st.lists(st.tuples(st.integers(0, 300), st.floats(1e-3, 1e4)),
+                           min_size=1, max_size=4),
+           level=st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99]),
+           convention=st.sampled_from(list(PointConvention)))
+    def test_pooled_cells_equal_library_estimators(self, causes, level, convention):
+        # A cause without failures has S_j = 0, as cause_stats gives it.
+        counts = tuple(n for n, _ in causes)
+        assume(sum(counts) >= 1)
+        log_sums = tuple(s if n else 0.0 for n, s in causes)
+        stats = CauseStats(counts, log_sums, 1.0)
+        usable = [j for j, n in enumerate(counts, start=1) if n >= 1]
+        table = build_estimate_table(stats, model=Model.SHARED, level=level,
+                                     convention=convention)
+        got = {(r.parameter, r.method): (r.point, r.sd, r.sd_paper_compat, r.ci_lo, r.ci_hi)
+               for r in table.rows}
+        assert all(r.level == level for r in table.rows)
+        z = normal_quantile((1.0 + level) / 2.0)
+
+        def wald(point, se):
+            return (point, se, se, point - z * se, point + z * se)
+
+        want = {}
+        references = [(Method.MLE, mle_shared_shape(stats))]
+        if sum(counts) >= 2:
+            references.append((Method.CMLE, cmle(stats, Model.SHARED)))
+        for method, est in references:
+            want["beta", method] = wald(est.beta[0], est.beta[0] / math.sqrt(sum(counts)))
+            for j in usable:
+                want[f"alpha_{j}", method] = wald(est.alpha[j - 1], math.sqrt(counts[j - 1]))
+        # The reference posterior of the causes with failures; an empty
+        # cause adds only S_j = 0 to the pooled sum.
+        kept = CauseStats(tuple(counts[j - 1] for j in usable),
+                          tuple(log_sums[j - 1] for j in usable), 1.0)
+        post = reference_posterior(kept, Model.SHARED)
+        points = bayes_points(post, convention)
+        want["beta", Method.REFERENCE] = (points.beta[0], post.beta_laws[0].sd,
+                                          post.beta_laws[0].sd,
+                                          *credible_interval(post, "beta", level))
+        for i, j in enumerate(usable, start=1):
+            law = post.alpha_laws[i - 1]
+            want[f"alpha_{j}", Method.REFERENCE] = (points.alpha[i - 1], law.sd,
+                                                    math.sqrt(counts[j - 1]),
+                                                    *credible_interval(post, f"alpha_{i}", level))
+        assert got == want
+
     def test_elementwise_over_replications(self):
         # A (replications, causes) block gives the cells of each row alone,
         # for a small block and for a larger seeded one with repeated counts.
@@ -445,11 +490,40 @@ class TestFitKernel:
         assert cmle(stats, Model.SHARED).beta == (4.0 / 1.5,)
 
     def test_method_spellings(self):
-        # A method named by its value gives the cells of the enum member.
-        for method in ALL_METHODS:
-            spelled = fit(method.value, (3, 7), (1.5, 4.0), 0.9)
-            for got, want in zip(spelled, fit(method, (3, 7), (1.5, 4.0), 0.9)):
+        # A method or convention named by its value gives the cells of the
+        # enum member.
+        for method, convention in itertools.product(ALL_METHODS, PointConvention):
+            spelled = fit(method.value, (3, 7), (1.5, 4.0), 0.9, convention.value)
+            for got, want in zip(spelled, fit(method, (3, 7), (1.5, 4.0), 0.9, convention)):
                 assert [c.tolist() for c in got] == [c.tolist() for c in want]
+        assert fit("reference", [3], [1.0], 0.95, "map")[0].point.tolist() == [2.0]
+        stats = _harvester_stats()
+        assert alpha_laws_from_counts((3,), "reference") == (GammaParams(3.5, 1.0),)
+        assert alpha_laws_from_counts((3,), "jeffreys") == (GammaParams(4.0, 1.0),)
+        for model in Model:
+            assert cmle(stats, model.value) == cmle(stats, model)
+            assert reference_posterior(stats, model.value) == reference_posterior(stats, model)
+        assert jeffreys_posterior(stats, "distinct") == jeffreys_posterior(stats)
+        with pytest.raises(UnsupportedModelError):
+            jeffreys_posterior(stats, "shared")
+        post = reference_posterior(CauseStats((3,), (1.0,), 1.0))
+        assert bayes_points(post, "map") == bayes_points(post, PointConvention.MAP)
+        assert bayes_points(post, "map").beta == (2.0,)
+        assert bayes_points(post, "mean").beta == (3.0,)
+        # An unknown value is refused with the valid ones listed.
+        for call, expected in (
+                (lambda: fit("mle", (2,), (1.0,), 0.95, "median"), "map, mean"),
+                (lambda: bayes_points(post, "median"), "map, mean"),
+                (lambda: cmle(stats, "pooled"), "distinct, shared"),
+                (lambda: reference_posterior(stats, "pooled"), "distinct, shared"),
+                (lambda: jeffreys_posterior(stats, "pooled"), "distinct, shared"),
+                (lambda: alpha_laws_from_counts((3,), "bogus"), "mle, cmle, jeffreys, reference"),
+        ):
+            with pytest.raises(DomainError, match=f"expected one of {expected}"):
+                call()
+        for method in ("mle", Method.CMLE):
+            with pytest.raises(DomainError, match="Bayes method"):
+                alpha_laws_from_counts((3,), method)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError, match="expected one of mle, cmle, jeffreys, reference"):
@@ -458,6 +532,14 @@ class TestFitKernel:
             fit(Method.REFERENCE, (0,), (1.0,), 0.95)
         with pytest.raises(DomainError):
             fit(Method.MLE, (2,), (1.0,), 1.0)
+        # Counts must be finite whole numbers, the same shape as the log sums,
+        # and both numeric; each is refused for every method.
+        for counts, log_sums in (([2.5], [1.0]), ([math.inf], [1.0]), ([math.nan], [1.0]),
+                                 ([1, 2], [1.0]), ([[2, 3]], [1.0, 2.0]), (["a"], [1.0]),
+                                 ([2], ["a"]), ([[2], [3, 4]], [1.0])):
+            for method in ALL_METHODS:
+                with pytest.raises(DomainError):
+                    fit(method, counts, log_sums, 0.95)
 
 
 class TestLogLikelihood:
@@ -633,6 +715,18 @@ class TestEstimateTable:
                 == build_estimate_table(stats, (Method.REFERENCE, Method.MLE)))
         with pytest.raises(DomainError, match="'bogus'"):
             build_estimate_table(stats, ("mle", "bogus"))
+        # A model or convention named by its value gives the enum's table.
+        for model, convention in itertools.product(Model, PointConvention):
+            assert (build_estimate_table(stats, model=model.value, convention=convention.value)
+                    == build_estimate_table(stats, model=model, convention=convention))
+        assert {r.parameter for r in build_estimate_table(stats, model="shared").rows} == {
+            "beta", "alpha_1", "alpha_2", "alpha_3"}
+        with pytest.raises(UnsupportedModelError):
+            build_estimate_table(stats, ("jeffreys",), "shared")
+        with pytest.raises(DomainError, match="'bogus'; expected one of distinct, shared"):
+            build_estimate_table(stats, model="bogus")
+        with pytest.raises(DomainError, match="'median'; expected one of map, mean"):
+            build_estimate_table(stats, convention="median")
 
 
 @st.composite

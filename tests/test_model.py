@@ -97,3 +97,10 @@ class TestSystemParams:
             PlpCauseParams(-1.0, 1.0)
         with pytest.raises(DomainError):
             PlpCauseParams(1.0, 0.0)
+        # bool is an int subclass; a flag is never a shape, a count or a label.
+        for args in ((True, 1.0), (1.0, True), (1.0, 1.0, True), ("1.5", 1.0), (1.0, None)):
+            with pytest.raises(DomainError, match="must be a positive"):
+                PlpCauseParams(*args)
+        for T in (True, "5.5", None):
+            with pytest.raises(DomainError, match="truncation_time"):
+                SystemParams((PlpCauseParams(1.0, 1.0),), T)

@@ -3,6 +3,7 @@ pairing/discard bookkeeping, and worker-independent determinism."""
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -161,7 +162,8 @@ class TestScenarios:
             Scenario(params, 10, -1)
         with pytest.raises(DomainError):
             Scenario(params, 10, 42, level=1.0)
-        for level in ("0.5", None, True):
+        # One level rule with the estimators: a plain int or float in (0, 1).
+        for level in ("0.5", None, True, np.float32(0.9), Fraction(9, 10)):
             with pytest.raises(DomainError, match="level"):
                 Scenario(params, 10, 1, level=level)
         # bool is an int subclass; a flag is never a count or a seed.

@@ -103,6 +103,9 @@ class TestGammaQuantile:
             GammaParams(0.0, 1.0)
         with pytest.raises(DomainError):
             GammaParams(1.0, -2.0)
+        for shape, rate in (("a", 1), (None, 1.0), (True, 1.0), (1.0, "2"), (1.0, True)):
+            with pytest.raises(DomainError, match="must be a positive real"):
+                GammaParams(shape, rate)
 
 
 class TestNormalQuantile:
