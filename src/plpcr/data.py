@@ -13,12 +13,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
-
-
-def _is_real(value) -> bool:
-    # A bool is a number to Python but never a time or a count.
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+from .errors import DomainError, ValidationError, check_real, check_whole
 
 
 @dataclass(frozen=True)
@@ -43,24 +38,22 @@ class FailureHistory:
     num_causes: int
 
     def __post_init__(self) -> None:
-        T = self.truncation_time
-        if not (_is_real(T) and math.isfinite(T) and T > 0.0):
-            raise ValidationError(f"truncation_time must be a positive real, got {T!r}")
-        if not (_is_real(self.num_causes) and isinstance(self.num_causes, int)
-                and self.num_causes >= 1):
-            raise ValidationError(f"num_causes must be a positive integer, got {self.num_causes!r}")
+        T = check_real(self.truncation_time, "truncation_time", ValidationError)
+        p = check_whole(self.num_causes, "num_causes", ValidationError)
         previous = 0.0
         for i, rec in enumerate(self.records, start=1):
-            if not (math.isfinite(rec.time) and 0.0 < rec.time < T):
-                raise ValidationError(f"record {i}: time {rec.time!r} outside (0, {T})")
-            if rec.time == previous:
-                raise ValidationError(f"record {i}: duplicate failure time {rec.time!r}")
-            if rec.time < previous:
-                raise ValidationError(f"record {i}: time {rec.time!r} breaks ascending order")
-            if not (isinstance(rec.cause, int) and 1 <= rec.cause <= self.num_causes):
-                raise ValidationError(
-                    f"record {i}: cause {rec.cause!r} not in 1..{self.num_causes}")
-            previous = rec.time
+            time, cause = rec.time, rec.cause
+            # Exact classes first: a parsed record always passes this test, and
+            # only a record that fails it pays for the checks that name the fault.
+            if not (time.__class__ is float and cause.__class__ is int
+                    and previous < time < T and 1 <= cause <= p):
+                check_real(time, f"record {i}: time", ValidationError, high=T)
+                check_whole(cause, f"record {i}: cause", ValidationError, high=p)
+                if time == previous:
+                    raise ValidationError(f"record {i}: duplicate failure time {time!r}")
+                if time < previous:
+                    raise ValidationError(f"record {i}: time {time!r} breaks ascending order")
+            previous = time
 
     @property
     def n(self) -> int:
@@ -77,6 +70,17 @@ class CauseStats:
     counts: tuple[int, ...]
     log_sums: tuple[float, ...]
     truncation_time: float
+
+    def __post_init__(self) -> None:
+        # As cause_stats builds them: S_j > 0 with failures and S_j = 0 without.
+        if len(self.counts) != len(self.log_sums):
+            raise DomainError(f"{len(self.counts)} counts but {len(self.log_sums)} log sums")
+        check_real(self.truncation_time, "truncation_time")
+        for j, (n, s) in enumerate(zip(self.counts, self.log_sums), start=1):
+            check_whole(n, f"cause {j} count", low=0)
+            check_real(s, f"cause {j} log sum", closed=n == 0)
+            if n == 0 and s != 0.0:
+                raise DomainError(f"cause {j} log sum must be 0 with no failures, got {s!r}")
 
     @property
     def num_causes(self) -> int:
@@ -99,13 +103,17 @@ def parse_history(text: str, truncation_time: float,
     to represent trailing causes with zero observed failures.  Malformed rows
     raise ValidationError naming the offending line.
     """
-    if not (_is_real(truncation_time) and math.isfinite(truncation_time)
-            and truncation_time > 0.0):
-        raise ValidationError(f"truncation_time must be a positive real, got {truncation_time!r}")
-    records: list[FailureRecord] = []
+    check_real(truncation_time, "truncation_time", ValidationError)
+    if num_causes is not None:
+        check_whole(num_causes, "num_causes", ValidationError)
     reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a field beyond the csv module's size limit
+        raise ValidationError(f"line {reader.line_num}: {exc}") from None
+    records: list[FailureRecord] = []
     header_seen = False
-    for line_no, row in enumerate(reader, start=1):
+    for line_no, row in enumerate(rows, start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if row[0].lstrip().startswith("#"):

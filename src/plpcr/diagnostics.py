@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .data import FailureHistory
-from .errors import DiagnosticError
+from .errors import DiagnosticError, check_whole
 
 
 @dataclass(frozen=True)
@@ -23,8 +23,7 @@ class DuaneSeries:
 
 def duane_points(history: FailureHistory, cause: int) -> DuaneSeries:
     """Map the i-th failure of a cause at time t to the point (ln t, ln i)."""
-    if not (isinstance(cause, int) and 1 <= cause <= history.num_causes):
-        raise DiagnosticError(f"cause {cause!r} not in 1..{history.num_causes}")
+    check_whole(cause, "cause", DiagnosticError, high=history.num_causes)
     times = history.times_for_cause(cause)
     if not times:
         raise DiagnosticError(f"cause {cause} has no failures; no Duane points to emit")

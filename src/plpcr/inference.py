@@ -41,6 +41,8 @@ from .errors import (
     ImproperPosteriorError,
     UnsupportedModelError,
     ValidationError,
+    check_real,
+    check_whole,
 )
 from .model import SystemParams
 from .numerics import GammaParams, _std_gamma_quantile, gamma_quantile, normal_quantile
@@ -142,11 +144,6 @@ def _as(kind: type[Enum], value):
                           f"{', '.join(m.value for m in kind)}") from None
 
 
-def _check_level(level: float) -> None:
-    if not (isinstance(level, (int, float)) and 0.0 < level < 1.0):
-        raise DomainError(f"level must lie in (0, 1), got {level!r}")
-
-
 def _resolve_parameter(parameter: str, p: int, *, pooled_beta: bool) -> tuple[str, int]:
     """Turn 'beta_2' / 'alpha_1' / pooled 'beta' into (kind, cause index)."""
     name = parameter.strip().lower()
@@ -176,23 +173,12 @@ def _require_counts(stats: CauseStats, minimum: int, what: str) -> None:
             f"cause{plural} {', '.join(map(str, bad))} fall short")
 
 
-def _require_log_sums(stats: CauseStats) -> None:
-    # cause_stats always gives a positive finite S_j when n_j >= 1; a
-    # hand-built CauseStats may not.
-    bad = [j + 1 for j, (n, s) in enumerate(zip(stats.counts, stats.log_sums))
-           if n >= 1 and not 0.0 < s < math.inf]
-    if bad:
-        raise DomainError(f"log sums must be positive and finite for causes with failures; "
-                          f"got {stats.log_sums!r}, bad at cause(s) {', '.join(map(str, bad))}")
-
-
 def mle_distinct(stats: CauseStats) -> MlEstimates:
     """Per-cause MLEs beta_j = n_j / S_j, alpha_j = n_j.
 
     Exists only when every cause has at least one failure.
     """
     _require_counts(stats, 1, "the distinct-shape MLE")
-    _require_log_sums(stats)
     beta = tuple(n / s for n, s in zip(stats.counts, stats.log_sums))
     alpha = tuple(float(n) for n in stats.counts)
     return MlEstimates(Model.DISTINCT, beta, alpha)
@@ -203,7 +189,6 @@ def mle_shared_shape(stats: CauseStats) -> MlEstimates:
     cause without failures)."""
     if stats.n == 0:
         raise EstimationError("the shared-shape MLE requires at least one failure")
-    _require_log_sums(stats)
     beta = stats.n / stats.log_sum_total
     alpha = tuple(float(n) for n in stats.counts)
     return MlEstimates(Model.SHARED, (beta,), alpha)
@@ -287,12 +272,9 @@ def alpha_laws_from_counts(counts: tuple[int, ...] | list[int],
     if offset is None:
         raise DomainError(f"alpha laws need a Bayes method (jeffreys or reference), "
                           f"got {method.value!r}")
-    laws = []
     for j, n in enumerate(counts, start=1):
-        if not (isinstance(n, int) and n >= 1):
-            raise ImproperPosteriorError(f"cause {j}: count must be an integer >= 1, got {n!r}")
-        laws.append(GammaParams(n + offset, 1.0))
-    return tuple(laws)
+        check_whole(n, f"cause {j}: count", ImproperPosteriorError)
+    return tuple(GammaParams(n + offset, 1.0) for n in counts)
 
 
 def bayes_points(post: PosteriorSpec,
@@ -317,7 +299,7 @@ def bayes_points(post: PosteriorSpec,
 
 def credible_interval(post: PosteriorSpec, parameter: str, level: float) -> tuple[float, float]:
     """Equal-tail credible interval for one parameter of a posterior."""
-    _check_level(level)
+    check_real(level, "level", high=1.0)
     law = post.law_for(parameter)
     lo = gamma_quantile(law, (1.0 - level) / 2.0)
     hi = gamma_quantile(law, (1.0 + level) / 2.0)
@@ -406,7 +388,7 @@ def fit(method: Method, counts, log_sums, level: float,
     mode (map) or mean as the beta point and n as the alpha point.
     """
     method, convention = _as(Method, method), _as(PointConvention, convention)
-    _check_level(level)
+    check_real(level, "level", high=1.0)
     try:
         n, s = np.asarray(counts, dtype=float), np.asarray(log_sums, dtype=float)
     except (TypeError, ValueError):
@@ -431,7 +413,7 @@ def build_estimate_table(stats: CauseStats,
     """
     methods = tuple(_as(Method, m) for m in methods)
     model, convention = _as(Model, model), _as(PointConvention, convention)
-    _check_level(level)
+    check_real(level, "level", high=1.0)
     if stats.n == 0:
         raise EstimationError("no failures observed")
     pooled = model is Model.SHARED

@@ -20,20 +20,16 @@ and the method set; there is one execution path, whatever the worker count.
 from __future__ import annotations
 
 import json
-import numbers
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StudyError, ValidationError
-from .inference import ALL_METHODS, Method, _as, _check_level, fit
+from .errors import DomainError, StudyError, ValidationError, check_real, check_whole
+from .inference import ALL_METHODS, Method, _as, fit
 from .model import PlpCauseParams, SystemParams
 
 _BLOCK = 65_536  # replications per random stream; part of the determinism contract
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -47,11 +43,9 @@ class Scenario:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        if not (_is_int(self.replications) and self.replications >= 1):
-            raise DomainError(f"replications must be a positive integer, got {self.replications!r}")
-        if not (_is_int(self.master_seed) and 0 <= self.master_seed < 2**64):
-            raise DomainError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
-        _check_level(self.level)
+        check_whole(self.replications, "replications")
+        check_whole(self.master_seed, "master_seed", low=0, high=2**64 - 1)
+        check_real(self.level, "level", high=1.0)
 
 
 @dataclass(frozen=True)
@@ -122,14 +116,11 @@ class McReport:
 
 def _number(key: str, value, integral: bool = False):
     # Integral floats such as 1e4 pass as whole numbers; 3.7 is refused, not truncated.
-    # A bool is a number to Python but never a value a scenario means.
-    if integral and isinstance(value, float) and value.is_integer():
-        value = int(value)
-    wanted = numbers.Integral if integral else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, wanted):
-        kind = "an integer" if integral else "a number"
-        raise ValidationError(f"{key} must be {kind}, got {value!r}")
-    return int(value) if integral else float(value)
+    if integral:
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        return check_whole(value, key, ValidationError, low=0)
+    return float(check_real(value, key, ValidationError, low=-math.inf))
 
 
 def make_scenario(betas, alphas, T, replications=10_000, seed=42, level=0.95,
@@ -183,7 +174,9 @@ def parse_scenario(text: str, name: str | None = None) -> Scenario:
             raise ValidationError(f"line {line_no}: duplicate key {key!r}")
         try:
             values[key] = ast.literal_eval(rhs.strip())
-        except (ValueError, SyntaxError):
+        except (ValueError, SyntaxError, TypeError, RecursionError, MemoryError):
+            # TypeError: an unhashable set member or dict key such as {[]: 1};
+            # RecursionError: deep nesting such as 3,000 unary minus signs.
             raise ValidationError(f"line {line_no}: cannot parse value {rhs.strip()!r}") from None
     missing = [k for k in ("beta", "alpha", "T") if k not in values]
     if missing:
@@ -255,8 +248,7 @@ def run_study(scenario: Scenario, methods: tuple[Method, ...] = ALL_METHODS,
     """
     if not methods:
         raise DomainError("at least one method is required")
-    if not (isinstance(workers, int) and workers >= 1):
-        raise DomainError(f"workers must be a positive integer, got {workers!r}")
+    check_whole(workers, "workers")
     methods = tuple(_as(Method, m) for m in methods)
     M = scenario.replications
     p = scenario.params.num_causes

@@ -6,11 +6,10 @@ work with no dependency beyond the standard library.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, NumericError
+from .errors import NumericError, check_real
 
 _MAX_ITER = 10_000
 _FPMIN = 1e-300
@@ -27,11 +26,8 @@ class GammaParams:
     rate: float
 
     def __post_init__(self) -> None:
-        for name, value in (("shape", self.shape), ("rate", self.rate)):
-            # A bool is a number to Python but never a gamma parameter.
-            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                    and math.isfinite(value) and value > 0.0):
-                raise DomainError(f"gamma {name} must be a positive real, got {value!r}")
+        check_real(self.shape, "gamma shape")
+        check_real(self.rate, "gamma rate")
 
     @property
     def mean(self) -> float:
@@ -56,10 +52,13 @@ def reg_gamma_p(a: float, x: float) -> float:
     tail otherwise; both converge to machine precision on the ranges used
     here (a up to ~1e6).
     """
-    if not (math.isfinite(a) and a > 0.0):
-        raise DomainError(f"reg_gamma_p requires a > 0, got {a!r}")
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"reg_gamma_p requires x >= 0, got {x!r}")
+    check_real(a, "reg_gamma_p a")
+    check_real(x, "reg_gamma_p x", closed=True)
+    return _reg_gamma_p(a, x)
+
+
+def _reg_gamma_p(a: float, x: float) -> float:
+    # Unchecked: the quantile solver's Newton loop calls it on every step.
     if x == 0.0:
         return 0.0
     if x < a + 1.0:
@@ -145,15 +144,18 @@ def _normal_quantile_lower(p: float) -> float:
     return x
 
 
-@lru_cache(maxsize=1024)
 def normal_quantile(p: float) -> float:
     """Standard normal quantile, accurate to full double precision.
 
     Computed through the complement for p > 0.5 (1 - p is exact there), so
     both tails keep relative precision.
     """
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"normal_quantile requires p in (0, 1), got {p!r}")
+    return _normal_quantile(check_real(p, "normal_quantile p", high=1.0))
+
+
+@lru_cache(maxsize=1024)
+def _normal_quantile(p: float) -> float:
+    # Unchecked and cached; the quantile solver calls it with q already checked.
     if p == 0.5:
         return 0.0
     if p > 0.5:
@@ -169,7 +171,7 @@ def _std_gamma_quantile(shape: float, q: float) -> float:
     maintained bracket; bisection whenever a Newton step would leave it.
     """
     a = shape
-    z = normal_quantile(q)
+    z = _normal_quantile(q)
     t = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * math.sqrt(a))
     y = a * t * t * t if t > 0.0 else 0.0
     if not (y > 0.0 and math.isfinite(y)):
@@ -177,7 +179,7 @@ def _std_gamma_quantile(shape: float, q: float) -> float:
         y = math.exp((math.log(q) + math.lgamma(a + 1.0)) / a)
     lo, hi = 0.0, math.inf
     for _ in range(200):
-        p = reg_gamma_p(a, y)
+        p = _reg_gamma_p(a, y)
         err = p - q
         if abs(err) < 1e-13:
             return y
@@ -204,6 +206,5 @@ def gamma_quantile(params: GammaParams, q: float) -> float:
     Strictly increasing in q; the rate enters only as a final rescaling, so
     quantiles of a unit-rate law divide exactly by the rate.
     """
-    if not (isinstance(q, (int, float)) and math.isfinite(q) and 0.0 < q < 1.0):
-        raise DomainError(f"gamma_quantile requires q in (0, 1), got {q!r}")
+    check_real(q, "gamma_quantile q", high=1.0)
     return _std_gamma_quantile(params.shape, float(q)) / params.rate

@@ -95,6 +95,18 @@ class TestFit:
         record = json.loads(err.splitlines()[-1])
         assert "no failures" in record["error"]["message"]
 
+    def test_oversized_field_errors(self, capsys, tmp_path):
+        # A field beyond the csv module's size limit of 131,072 characters.
+        path = tmp_path / "big.csv"
+        path.write_text("time,cause\n1.0,1\n" + "1" * 140_000 + ",1\n", encoding="utf-8")
+        code, out, err = _run(capsys, ["fit", "--input", str(path), "--truncation", "10"])
+        assert code == 1
+        assert out == ""
+        (line_out,) = err.splitlines()
+        record = json.loads(line_out)["error"]
+        assert record["type"] == "ValidationError"
+        assert record["message"].startswith("line 3: field larger than field limit")
+
     def test_input_requires_truncation(self, capsys, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("time,cause\n1.0,1\n", encoding="utf-8")
@@ -198,6 +210,19 @@ class TestSimulate:
         record = json.loads(line_out)["error"]
         assert record["type"] == "ValidationError"
         assert str(path) in record["message"]
+
+    def test_deeply_nested_scenario_value_errors(self, capsys, tmp_path):
+        # 3,000 unary minus signs overflow Python's parser.
+        path = tmp_path / "deep.scenario"
+        path.write_text("beta = [" + "-" * 3000 + "1]\nalpha = [6.45]\nT = 5.5\n",
+                        encoding="utf-8")
+        code, out, err = _run(capsys, ["simulate", "--scenario", str(path)])
+        assert code == 1
+        assert out == ""
+        (line_out,) = err.splitlines()
+        record = json.loads(line_out)["error"]
+        assert record["type"] == "ValidationError"
+        assert record["message"].startswith("line 1: cannot parse value")
 
     @pytest.mark.parametrize("line", ["replication = 100", "sede = 9"])
     def test_unknown_scenario_key_errors(self, capsys, tmp_path, line):

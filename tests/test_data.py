@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plpcr.data import (
     FailureHistory,
@@ -88,6 +91,37 @@ class TestParseHistory:
         assert parsed == original
         assert serialize_history(parsed) == text
 
+    def test_oversized_field_names_line(self):
+        # Beyond the csv module's field size limit (131,072 characters).
+        text = "time,cause\n1.0,1\n" + "1" * 140_000 + ",1\n"
+        with pytest.raises(ValidationError, match="^line 3: field larger than field limit"):
+            parse_history(text, 10.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(
+        st.text(),
+        st.lists(st.one_of(st.sampled_from(["time,cause", "# note", "", "1.5,1", "2.5,2"]),
+                           st.text(alphabet="0123456789.,-+eE#\"\r\n nafi", max_size=12)),
+                 max_size=8).map("\n".join)),
+        T=st.floats(0.5, 10.0), num_causes=st.one_of(st.none(), st.integers(1, 4)))
+    def test_arbitrary_text_parses_or_is_refused(self, text, T, num_causes):
+        try:
+            history = parse_history(text, T, num_causes)
+        except ValidationError:
+            return
+        assert isinstance(history, FailureHistory)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), T=st.floats(1e-3, 1e6), p=st.integers(1, 4))
+    def test_roundtrip_generated_histories(self, data, T, p):
+        times = data.draw(st.lists(st.floats(0.0, T, exclude_min=True, exclude_max=True),
+                                   unique=True, max_size=30))
+        causes = data.draw(st.lists(st.integers(1, p), min_size=len(times),
+                                    max_size=len(times)))
+        history = FailureHistory(tuple(FailureRecord(t, c) for t, c in zip(sorted(times), causes)),
+                                 T, p)
+        assert parse_history(serialize_history(history), T, p) == history
+
 
 class TestFailureHistoryValidation:
     def test_rejects_time_at_truncation(self):
@@ -101,6 +135,20 @@ class TestFailureHistoryValidation:
                 parse_history(_csv([(0.5, 1)]), T)
         with pytest.raises(ValidationError, match="num_causes"):
             FailureHistory((), 10.0, True)
+        with pytest.raises(ValidationError, match="num_causes"):
+            parse_history(_csv([(0.5, 1)]), 10.0, num_causes="3")
+
+    def test_rejects_record_of_wrong_type(self):
+        # Each record is held to the number rule: a flag is neither a time
+        # nor a cause, and text is not a time.
+        for record, match in ((FailureRecord(True, 1), "record 1: time"),
+                              (FailureRecord(1.0, True), "record 1: cause"),
+                              (FailureRecord("1.0", 1), "record 1: time"),
+                              (FailureRecord(1.0, np.int64(1)), "record 1: cause")):
+            with pytest.raises(ValidationError, match=match):
+                FailureHistory((record,), 10.0, 1)
+        # numpy's float64 is a float.
+        assert FailureHistory((FailureRecord(np.float64(1.0), 1),), 10.0, 1).n == 1
 
     def test_rejects_cause_above_p(self):
         with pytest.raises(ValidationError):

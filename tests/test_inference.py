@@ -469,19 +469,15 @@ class TestFitKernel:
     @pytest.mark.parametrize("log_sum", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_nonpositive_log_sum(self, log_sum):
         # A library caller can build CauseStats by hand; S_j <= 0 with
-        # failures counted is outside every estimator's domain.
-        stats = CauseStats((1, 2), (log_sum, 1.0), 10.0)
+        # failures counted is outside every estimator's domain, so the
+        # statistics refuse it when they are built.
+        with pytest.raises(DomainError, match=r"^cause 1 log sum must be"):
+            CauseStats((1, 2), (log_sum, 1.0), 10.0)
         with pytest.raises(DomainError):
-            build_estimate_table(stats)
-        with pytest.raises(DomainError):
-            fit(Method.MLE, stats.counts, stats.log_sums, 0.95)
-        # The reference MLEs check each S_j: at -1 the pooled total is 0,
-        # at 0 it is positive.
-        stats = CauseStats((2, 3), (log_sum, 1.0), 10.0)
-        for estimator in (mle_distinct, mle_shared_shape, cmle,
-                          lambda s: cmle(s, Model.SHARED)):
-            with pytest.raises(DomainError, match=r"cause\(s\) 1$"):
-                estimator(stats)
+            fit(Method.MLE, (1, 2), (log_sum, 1.0), 0.95)
+        # At -1 the pooled total would be 0, at 0 it would be positive.
+        with pytest.raises(DomainError, match=r"^cause 1 log sum must be"):
+            CauseStats((2, 3), (log_sum, 1.0), 10.0)
 
     def test_pooled_mles_accept_empty_cause(self):
         # A cause without failures has S_j = 0, which the pooled model accepts.

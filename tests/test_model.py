@@ -83,6 +83,8 @@ class TestCumulativeIntensity:
     def test_rejects_negative_time(self):
         with pytest.raises(DomainError):
             cumulative_intensity(PlpCauseParams(1.0, 1.0), 1.0, -0.1)
+        with pytest.raises(DomainError, match="t must be"):
+            cumulative_intensity(PlpCauseParams(1.0, 1.0), 1.0, True)
 
 
 class TestSystemParams:
@@ -98,7 +100,9 @@ class TestSystemParams:
         with pytest.raises(DomainError):
             PlpCauseParams(1.0, 0.0)
         # bool is an int subclass; a flag is never a shape, a count or a label.
-        for args in ((True, 1.0), (1.0, True), (1.0, 1.0, True), ("1.5", 1.0), (1.0, None)):
+        for args in ((True, 1.0), (1.0, True), (1.0, 1.0, True), ("1.5", 1.0), (1.0, None),
+                     (np.float32(1.5), 1.0), (math.nan, 1.0), (1.0, math.inf),
+                     (1.0, 1.0, np.int64(1))):
             with pytest.raises(DomainError, match="must be a positive"):
                 PlpCauseParams(*args)
         for T in (True, "5.5", None):

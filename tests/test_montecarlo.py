@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from histories import simulate_history, stream
 from plpcr import inference, montecarlo
 from plpcr.data import CauseStats, cause_stats
-from plpcr.errors import DomainError, StudyError, ValidationError
+from plpcr.errors import DomainError, PlpcrError, StudyError, ValidationError
 from plpcr.inference import (
     ALL_METHODS,
     Method,
@@ -140,6 +142,27 @@ class TestScenarios:
         with pytest.raises(DomainError):
             parse_scenario("beta=[1.0]\nalpha=[2.0, 3.0]\nT=1.0\n")
 
+    @pytest.mark.parametrize("rhs", ["[" + "-" * 3000 + "1]", "[" * 3000 + "]" * 3000,
+                                     "{[]: 1}"])
+    def test_parse_scenario_refuses_unparsable_value(self, rhs):
+        # Nesting deep enough to overflow the parser, or an unhashable key.
+        with pytest.raises(ValidationError, match="^line 2: cannot parse value"):
+            parse_scenario(f"alpha = [1.0]\nbeta = {rhs}\nT = 1.0\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(
+        st.text(),
+        st.lists(st.tuples(st.sampled_from(["beta", "alpha", "T", "replications", "seed",
+                                            "level", "sede", ""]),
+                           st.text(alphabet="[](){}:0123456789.,-+eEjTrue'\" #", max_size=16)),
+                 max_size=8).map(lambda lines: "\n".join(f"{k} = {v}" for k, v in lines))))
+    def test_parse_scenario_refuses_only_with_plpcr_errors(self, text):
+        try:
+            scenario = parse_scenario(text)
+        except PlpcrError:
+            return
+        assert isinstance(scenario, Scenario)
+
     @pytest.mark.parametrize("line", ["replication = 100", "sede = 9", "Beta = [1.0]"])
     def test_parse_scenario_rejects_unknown_keys(self, line):
         # A misspelt key must not fall back silently to a default.
@@ -172,7 +195,8 @@ class TestScenarios:
         with pytest.raises(DomainError):
             Scenario(params, 10, True)
         for kwargs in ({"betas": (True,)}, {"alphas": (True,)}, {"T": True},
-                       {"replications": True}, {"seed": True}, {"level": True}):
+                       {"replications": True}, {"seed": True}, {"level": True},
+                       {"seed": np.int64(3)}, {"T": Fraction(11, 2)}):
             args = {"betas": (1.0,), "alphas": (2.0,), "T": 1.0, **kwargs}
             with pytest.raises(ValidationError, match="must be"):
                 make_scenario(**args)
@@ -255,6 +279,8 @@ class TestRunStudy:
             run_study(scenario, methods=())
         with pytest.raises(DomainError):
             run_study(scenario, workers=0)
+        with pytest.raises(DomainError, match="workers"):
+            run_study(scenario, workers=True)
 
 
 def _scalar_study(scenario: Scenario, methods) -> McReport:

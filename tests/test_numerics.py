@@ -4,6 +4,7 @@ streams that the tests' event-level simulator (histories.py) draws from."""
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,6 +55,9 @@ class TestRegGammaP:
             reg_gamma_p(1.0, -0.5)
         with pytest.raises(DomainError):
             reg_gamma_p(1.0, math.nan)
+        for a, x in ((True, 1.0), ("1", 1.0), (1.0, True), (np.float32(1.0), 1.0)):
+            with pytest.raises(DomainError, match="reg_gamma_p"):
+                reg_gamma_p(a, x)
 
 
 class TestGammaQuantile:
@@ -103,7 +107,9 @@ class TestGammaQuantile:
             GammaParams(0.0, 1.0)
         with pytest.raises(DomainError):
             GammaParams(1.0, -2.0)
-        for shape, rate in (("a", 1), (None, 1.0), (True, 1.0), (1.0, "2"), (1.0, True)):
+        # numpy's float32 and Fraction are refused as everywhere else.
+        for shape, rate in (("a", 1), (None, 1.0), (True, 1.0), (1.0, "2"), (1.0, True),
+                            (np.float32(2.0), 1.0), (Fraction(1, 2), 1.0), (math.inf, 1.0)):
             with pytest.raises(DomainError, match="must be a positive real"):
                 GammaParams(shape, rate)
 
@@ -118,6 +124,9 @@ class TestNormalQuantile:
             normal_quantile(0.0)
         with pytest.raises(DomainError):
             normal_quantile(1.0)
+        for p in ("0.5", None, True, math.nan):
+            with pytest.raises(DomainError, match="normal_quantile"):
+                normal_quantile(p)
 
 
 class TestRandomSource:
