@@ -25,26 +25,16 @@ from .errors import (
     ValidationError,
 )
 from .inference import (
-    BayesPoints,
     Cells,
     EstimateRow,
     EstimateTable,
     Method,
-    MlEstimates,
     Model,
     PointConvention,
-    PosteriorSpec,
     alpha_laws_from_counts,
-    bayes_points,
     build_estimate_table,
-    cmle,
-    credible_interval,
     fit,
-    jeffreys_posterior,
     log_likelihood,
-    mle_distinct,
-    mle_shared_shape,
-    reference_posterior,
 )
 from .model import (
     PlpCauseParams,

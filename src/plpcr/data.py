@@ -13,7 +13,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ValidationError, check_real, check_whole
+from .errors import DomainError, ValidationError, check_real, check_sequence, check_whole
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,13 @@ class FailureHistory:
         T = check_real(self.truncation_time, "truncation_time", ValidationError)
         p = check_whole(self.num_causes, "num_causes", ValidationError)
         previous = 0.0
-        for i, rec in enumerate(self.records, start=1):
-            time, cause = rec.time, rec.cause
+        for i, rec in enumerate(check_sequence(self.records, "records", ValidationError),
+                                start=1):
+            try:
+                time, cause = rec.time, rec.cause
+            except AttributeError:
+                raise ValidationError(f"record {i}: expected a FailureRecord, "
+                                      f"got {type(rec).__name__}") from None
             # Exact classes first: a parsed record always passes this test, and
             # only a record that fails it pays for the checks that name the fault.
             if not (time.__class__ is float and cause.__class__ is int
@@ -73,6 +78,8 @@ class CauseStats:
 
     def __post_init__(self) -> None:
         # As cause_stats builds them: S_j > 0 with failures and S_j = 0 without.
+        check_sequence(self.counts, "counts")
+        check_sequence(self.log_sums, "log sums")
         if len(self.counts) != len(self.log_sums):
             raise DomainError(f"{len(self.counts)} counts but {len(self.log_sums)} log sums")
         check_real(self.truncation_time, "truncation_time")
@@ -103,6 +110,8 @@ def parse_history(text: str, truncation_time: float,
     to represent trailing causes with zero observed failures.  Malformed rows
     raise ValidationError naming the offending line.
     """
+    if not isinstance(text, str):
+        raise ValidationError(f"history text must be a str, got {type(text).__name__}")
     check_real(truncation_time, "truncation_time", ValidationError)
     if num_causes is not None:
         check_whole(num_causes, "num_causes", ValidationError)

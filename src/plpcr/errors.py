@@ -5,7 +5,9 @@ level or a seed, passes `check_real` or `check_whole` where it enters: a
 plain ``int`` or ``float`` that is not a ``bool`` and lies inside the stated
 bounds.  NaN and the infinities fail the bounds.  numpy's ``float64`` is a
 ``float`` and passes; other numpy scalars, ``Fraction`` and ``Decimal`` are
-refused, as are strings and ``None``.  Each entry names the error class its
+refused, as are strings and ``None``.  A collection of values (the causes of
+a system, the counts of a `CauseStats`, the records of a history) passes
+`check_sequence`: a list or a tuple.  Each entry names the error class its
 module raises, so a bad value ends in a typed `PlpcrError`.
 """
 from __future__ import annotations
@@ -75,3 +77,11 @@ def check_whole(value, name: str, error: type[PlpcrError] = DomainError, *,
     wanted = ("a positive integer" if (low, high) == (1, None)
               else f"an integer >= {low}" if high is None else f"an integer in {low}..{high}")
     raise error(f"{name} must be {wanted}, got {value!r}")
+
+
+def check_sequence(value, name: str, error: type[PlpcrError] = DomainError):
+    """`value` if it is a list or a tuple; otherwise raise `error` naming `name`
+    and the type (not the value, which may be large)."""
+    if isinstance(value, (list, tuple)):
+        return value
+    raise error(f"{name} must be a sequence (a list or tuple), got {type(value).__name__}")

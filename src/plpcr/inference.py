@@ -1,19 +1,20 @@
 """Estimators for competing-risk power-law processes.
 
-Four methods share one sufficient-statistics input (CauseStats):
+Every estimator depends on the data only through the per-cause counts n_j
+and log sums S_j = sum log(T/t), and each has a closed form in them:
 
-* ``mle`` - closed-form maximum likelihood, beta_j = n_j / S_j, alpha_j = n_j;
-* ``cmle`` - the bias-corrected point ((n_j - 1) / n_j) * beta_j with Wald
-  intervals rebuilt around it;
-* ``jeffreys`` / ``reference`` - closed-form objective-Bayes posteriors.  Both
-  are products of independent gamma laws; they share the beta marginals
-  Gamma(n_j, n_j / beta_hat_j) and differ only in the alpha shapes
-  (n_j + 1 for Jeffreys, n_j + 1/2 for the overall-reference prior).
+* ``mle`` - maximum likelihood, beta_j = n_j / S_j, alpha_j = n_j;
+* ``cmle`` - the bias-corrected point (n_j - 1) / S_j with Wald intervals
+  rebuilt around it;
+* ``jeffreys`` / ``reference`` - objective-Bayes posteriors.  Both are
+  products of independent gamma laws; they share the beta marginals
+  Gamma(n_j, S_j) and differ only in the alpha shapes (n_j + 1 for Jeffreys,
+  n_j + 1/2 for the overall-reference prior).
 
-The gamma MAP of the shared beta marginal reproduces the bias-corrected point
-exactly, so the Bayes and CMLE point estimates coincide for beta; for alpha
-all methods use the unbiased count n_j.  Under the shared-shape model the
-Jeffreys posterior has no closed form and is refused explicitly.
+The mode of the beta marginal is the bias-corrected point, so the Bayes (map)
+and CMLE beta points coincide; for alpha all methods use the unbiased count
+n_j.  Under the shared-shape model the Jeffreys posterior has no closed form
+and is refused explicitly.
 
 Each rule is decided once: ``Method`` names the two priors, whose only
 difference is the alpha shape offset in ``_ALPHA_SHAPE_OFFSET``, and every
@@ -22,8 +23,7 @@ its value, refusing any other value with a DomainError.  Every cell of an
 estimate table or a replication study comes from the same two elementwise
 cell builders over arrays of counts and log sums: a study reaches them
 through the kernel ``fit``, a table directly, with the pooled beta of the
-shared-shape model as a one-element array.  The estimator functions are
-their reference implementations.
+shared-shape model as a one-element array.
 """
 from __future__ import annotations
 
@@ -42,10 +42,11 @@ from .errors import (
     UnsupportedModelError,
     ValidationError,
     check_real,
+    check_sequence,
     check_whole,
 )
 from .model import SystemParams
-from .numerics import GammaParams, _std_gamma_quantile, gamma_quantile, normal_quantile
+from .numerics import GammaParams, _std_gamma_quantile, normal_quantile
 
 
 class Model(str, Enum):
@@ -71,45 +72,6 @@ ALL_METHODS: tuple[Method, ...] = (Method.MLE, Method.CMLE, Method.JEFFREYS, Met
 
 # The Bayes methods; the alpha posterior of cause j is Gamma(n_j + offset, 1).
 _ALPHA_SHAPE_OFFSET = {Method.JEFFREYS: 1.0, Method.REFERENCE: 0.5}
-
-
-@dataclass(frozen=True)
-class MlEstimates:
-    """Point estimates per cause; beta has one entry per cause, or a single
-    pooled entry under the shared-shape model."""
-
-    model: Model
-    beta: tuple[float, ...]
-    alpha: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class PosteriorSpec:
-    """Closed-form posterior: independent gamma laws, one per parameter."""
-
-    method: Method
-    model: Model
-    beta_laws: tuple[GammaParams, ...]
-    alpha_laws: tuple[GammaParams, ...]
-    counts: tuple[int, ...]
-
-    def law_for(self, parameter: str) -> GammaParams:
-        kind, index = _resolve_parameter(parameter, len(self.alpha_laws),
-                                         pooled_beta=self.model is Model.SHARED)
-        if kind == "beta":
-            return self.beta_laws[0 if self.model is Model.SHARED else index - 1]
-        return self.alpha_laws[index - 1]
-
-
-@dataclass(frozen=True)
-class BayesPoints:
-    """Bayes point estimates; beta_degenerate flags causes where the
-    posterior mode sits at 0 (gamma shape <= 1, i.e. a single failure)."""
-
-    convention: PointConvention
-    beta: tuple[float, ...]
-    alpha: tuple[float, ...]
-    beta_degenerate: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -144,119 +106,9 @@ def _as(kind: type[Enum], value):
                           f"{', '.join(m.value for m in kind)}") from None
 
 
-def _resolve_parameter(parameter: str, p: int, *, pooled_beta: bool) -> tuple[str, int]:
-    """Turn 'beta_2' / 'alpha_1' / pooled 'beta' into (kind, cause index)."""
-    name = parameter.strip().lower()
-    if pooled_beta and name == "beta":
-        return "beta", 0
-    for kind in ("beta", "alpha"):
-        prefix = kind + "_"
-        if name.startswith(prefix):
-            try:
-                index = int(name[len(prefix):])
-            except ValueError:
-                break
-            if not 1 <= index <= p:
-                raise DomainError(f"parameter {parameter!r} indexes a cause outside 1..{p}")
-            if kind == "beta" and pooled_beta:
-                raise DomainError("the shared-shape model has a single pooled 'beta'")
-            return kind, index
-    raise DomainError(f"unknown parameter name {parameter!r}")
-
-
-def _require_counts(stats: CauseStats, minimum: int, what: str) -> None:
-    bad = [j + 1 for j, n in enumerate(stats.counts) if n < minimum]
-    if bad:
-        plural = "s" if len(bad) > 1 else ""
-        raise EstimationError(
-            f"{what} requires at least {minimum} failure(s) per cause; "
-            f"cause{plural} {', '.join(map(str, bad))} fall short")
-
-
-def mle_distinct(stats: CauseStats) -> MlEstimates:
-    """Per-cause MLEs beta_j = n_j / S_j, alpha_j = n_j.
-
-    Exists only when every cause has at least one failure.
-    """
-    _require_counts(stats, 1, "the distinct-shape MLE")
-    beta = tuple(n / s for n, s in zip(stats.counts, stats.log_sums))
-    alpha = tuple(float(n) for n in stats.counts)
-    return MlEstimates(Model.DISTINCT, beta, alpha)
-
-
-def mle_shared_shape(stats: CauseStats) -> MlEstimates:
-    """Pooled-shape MLE beta = n / S with per-cause alpha_j = n_j (0 for a
-    cause without failures)."""
-    if stats.n == 0:
-        raise EstimationError("the shared-shape MLE requires at least one failure")
-    beta = stats.n / stats.log_sum_total
-    alpha = tuple(float(n) for n in stats.counts)
-    return MlEstimates(Model.SHARED, (beta,), alpha)
-
-
-def cmle(stats: CauseStats, model: Model = Model.DISTINCT) -> MlEstimates:
-    """Bias-corrected MLE: beta scaled by (n - 1) / n, alpha unchanged at n_j.
-
-    The correction makes the beta estimator conditionally unbiased given the
-    counts; it degenerates to 0 at a single failure, hence the n >= 2 floor.
-    """
-    model = _as(Model, model)
-    if model is Model.DISTINCT:
-        _require_counts(stats, 2, "the bias-corrected MLE")
-        base = mle_distinct(stats)
-        # (n - 1) / S rather than ((n - 1) / n) * (n / S): same estimator, and
-        # bit-identical to the gamma posterior mode it coincides with.
-        beta = tuple((n - 1) / s for n, s in zip(stats.counts, stats.log_sums))
-    else:
-        if stats.n < 2:
-            raise EstimationError("the pooled bias-corrected MLE requires at least 2 failures")
-        base = mle_shared_shape(stats)
-        beta = ((stats.n - 1) / stats.log_sum_total,)
-    return MlEstimates(model, beta, base.alpha)
-
-
-def _posterior(method: Method, stats: CauseStats, model) -> PosteriorSpec:
-    """The closed-form posterior of a Bayes method; see reference_posterior."""
-    model = _as(Model, model)
-    if method is Method.JEFFREYS and model is Model.SHARED:
-        raise UnsupportedModelError(
-            "the shared-shape Jeffreys posterior has no closed form; "
-            "use the reference posterior for pooled-shape inference")
-    bad = [j + 1 for j, n in enumerate(stats.counts) if n < 1]
-    if bad:
-        name = "Jeffreys" if method is Method.JEFFREYS else "reference"
-        raise ImproperPosteriorError(
-            f"the {name} posterior is improper: no failures for cause(s) "
-            f"{', '.join(map(str, bad))}")
-    # Gamma(n_j, n_j / beta_hat_j); the rate n_j / beta_hat_j is exactly S_j.
-    if model is Model.SHARED:
-        beta_laws = (GammaParams(float(stats.n), stats.log_sum_total),)
-    else:
-        beta_laws = tuple(GammaParams(float(n), s) for n, s in zip(stats.counts, stats.log_sums))
-    offset = _ALPHA_SHAPE_OFFSET[method]
-    alpha_laws = tuple(GammaParams(n + offset, 1.0) for n in stats.counts)
-    return PosteriorSpec(method, model, beta_laws, alpha_laws, stats.counts)
-
-
-def reference_posterior(stats: CauseStats, model: Model = Model.DISTINCT) -> PosteriorSpec:
-    """Posterior under the overall reference prior.
-
-    A product of independent gamma laws: Gamma(n_j, n_j / beta_hat_j) for each
-    beta (pooled to Gamma(n, n / beta_hat) under the shared-shape model) and
-    Gamma(n_j + 1/2, 1) for each alpha.  Proper whenever every cause has at
-    least one failure.
-    """
-    return _posterior(Method.REFERENCE, stats, model)
-
-
-def jeffreys_posterior(stats: CauseStats, model: Model = Model.DISTINCT) -> PosteriorSpec:
-    """Posterior under the Jeffreys prior (distinct-shape model only).
-
-    Shares the beta marginals with the reference posterior; the alpha laws are
-    Gamma(n_j + 1, 1).  Under a shared shape the Jeffreys posterior is not a
-    product of gamma laws, so that request is refused rather than approximated.
-    """
-    return _posterior(Method.JEFFREYS, stats, model)
+def _as_methods(methods) -> tuple[Method, ...]:
+    """The members that a list or tuple of methods names; a bare string is refused."""
+    return tuple(_as(Method, m) for m in check_sequence(methods, "methods"))
 
 
 def alpha_laws_from_counts(counts: tuple[int, ...] | list[int],
@@ -272,38 +124,9 @@ def alpha_laws_from_counts(counts: tuple[int, ...] | list[int],
     if offset is None:
         raise DomainError(f"alpha laws need a Bayes method (jeffreys or reference), "
                           f"got {method.value!r}")
-    for j, n in enumerate(counts, start=1):
+    for j, n in enumerate(check_sequence(counts, "counts", ImproperPosteriorError), start=1):
         check_whole(n, f"cause {j}: count", ImproperPosteriorError)
     return tuple(GammaParams(n + offset, 1.0) for n in counts)
-
-
-def bayes_points(post: PosteriorSpec,
-                 convention: PointConvention = PointConvention.MAP) -> BayesPoints:
-    """Bayes point estimates from a closed-form posterior.
-
-    beta uses the posterior mode (default) or mean of its gamma marginal; the
-    mode is ((n_j - 1) / n_j) * beta_hat_j and hits 0 when n_j = 1, which is
-    reported via the degeneracy flags.  alpha always uses the unbiased count
-    n_j, which sits between the posterior mode and mean.
-    """
-    convention = _as(PointConvention, convention)
-    if convention is PointConvention.MAP:
-        beta = tuple(law.mode for law in post.beta_laws)
-        degenerate = tuple(law.shape <= 1.0 for law in post.beta_laws)
-    else:
-        beta = tuple(law.mean for law in post.beta_laws)
-        degenerate = tuple(False for _ in post.beta_laws)
-    alpha = tuple(float(n) for n in post.counts)
-    return BayesPoints(convention, beta, alpha, degenerate)
-
-
-def credible_interval(post: PosteriorSpec, parameter: str, level: float) -> tuple[float, float]:
-    """Equal-tail credible interval for one parameter of a posterior."""
-    check_real(level, "level", high=1.0)
-    law = post.law_for(parameter)
-    lo = gamma_quantile(law, (1.0 - level) / 2.0)
-    hi = gamma_quantile(law, (1.0 + level) / 2.0)
-    return lo, hi
 
 
 def log_likelihood(params: SystemParams, history: FailureHistory) -> float:
@@ -353,13 +176,25 @@ def _wald(point: np.ndarray, sd: np.ndarray, level: float) -> Cells:
     return Cells(point, sd, sd, point - z * sd, point + z * sd)
 
 
+def _input_fault(n: np.ndarray, s: np.ndarray) -> str | None:
+    """What is wrong with the counts and log sums, if anything: their shapes and
+    the index and value of the first bad entry, never the whole arrays."""
+    if n.shape != s.shape:
+        return f"counts of shape {n.shape} and log sums of shape {s.shape} differ in shape"
+    for name, values, ok in (("count", n, (n >= 1.0) & (n < math.inf) & (n == np.floor(n))),
+                             ("log sum", s, (s > 0.0) & (s < math.inf))):
+        if not ok.all():
+            at = tuple(int(i) for i in np.unravel_index(np.argmin(ok), ok.shape))
+            return ("counts must be whole numbers >= 1 and log sums positive and finite; in "
+                    f"arrays of shape {n.shape}, the {name} at index {at} is {values[at].item()!r}")
+    return None
+
+
 def _beta_cells(method: Method, n: np.ndarray, s: np.ndarray, level: float,
                 convention: PointConvention) -> Cells:
-    if not (n.shape == s.shape and np.all((n >= 1.0) & (n < math.inf) & (n == np.floor(n)))
-            and np.all((s > 0.0) & (s < math.inf))):
-        raise DomainError("beta cells need integral finite counts >= 1 and positive finite "
-                          f"log sums of one shape, got counts {n.tolist()!r} and log sums "
-                          f"{s.tolist()!r}")
+    fault = _input_fault(n, s)
+    if fault:
+        raise DomainError(fault)
     if method is Method.MLE or method is Method.CMLE:
         point = (n if method is Method.MLE else n - 1.0) / s
         return _wald(point, point / np.sqrt(n), level)
@@ -391,9 +226,8 @@ def fit(method: Method, counts, log_sums, level: float,
     check_real(level, "level", high=1.0)
     try:
         n, s = np.asarray(counts, dtype=float), np.asarray(log_sums, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError(f"counts and log sums must be numeric, got {counts!r} "
-                          f"and {log_sums!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"counts and log sums must be numeric arrays: {exc}") from None
     return _beta_cells(method, n, s, level, convention), _alpha_cells(method, n, level)
 
 
@@ -411,7 +245,7 @@ def build_estimate_table(stats: CauseStats,
     as is a MAP beta point of 0 (a single failure).  Raises EstimationError
     when nothing at all is estimable.
     """
-    methods = tuple(_as(Method, m) for m in methods)
+    methods = _as_methods(methods)
     model, convention = _as(Model, model), _as(PointConvention, convention)
     check_real(level, "level", high=1.0)
     if stats.n == 0:

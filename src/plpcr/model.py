@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, check_real, check_whole
+from .errors import DomainError, check_real, check_sequence, check_whole
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,11 @@ class SystemParams:
     truncation_time: float
 
     def __post_init__(self) -> None:
-        if len(self.causes) < 1:
+        if len(check_sequence(self.causes, "causes")) < 1:
             raise DomainError("a system needs at least one cause")
+        for j, cause in enumerate(self.causes, start=1):
+            if not isinstance(cause, PlpCauseParams):
+                raise DomainError(f"cause {j} must be a PlpCauseParams, got {type(cause).__name__}")
         check_real(self.truncation_time, "truncation_time")
         ids = [c.cause_id for c in self.causes]
         if ids != list(range(1, len(ids) + 1)):

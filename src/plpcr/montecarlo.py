@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StudyError, ValidationError, check_real, check_whole
-from .inference import ALL_METHODS, Method, _as, fit
+from .errors import (DomainError, StudyError, ValidationError, check_real, check_sequence,
+                     check_whole)
+from .inference import ALL_METHODS, Method, _as_methods, fit
 from .model import PlpCauseParams, SystemParams
 
 _BLOCK = 65_536  # replications per random stream; part of the determinism contract
@@ -127,6 +128,8 @@ def make_scenario(betas, alphas, T, replications=10_000, seed=42, level=0.95,
                   name=None) -> Scenario:
     """Convenience constructor from parallel beta/alpha sequences; a value of
     the wrong type, or a non-integral replication count or seed, is refused."""
+    check_sequence(betas, "beta", ValidationError)
+    check_sequence(alphas, "alpha", ValidationError)
     if len(betas) != len(alphas):
         raise DomainError("beta and alpha sequences must have equal length")
     causes = tuple(PlpCauseParams(_number("beta", b), _number("alpha", a), j)
@@ -181,10 +184,7 @@ def parse_scenario(text: str, name: str | None = None) -> Scenario:
     missing = [k for k in ("beta", "alpha", "T") if k not in values]
     if missing:
         raise ValidationError(f"scenario file is missing keys: {', '.join(missing)}")
-    betas, alphas = values["beta"], values["alpha"]
-    if not isinstance(betas, (list, tuple)) or not isinstance(alphas, (list, tuple)):
-        raise ValidationError("beta and alpha must be bracketed lists, e.g. beta = [1.5, 1.0]")
-    return make_scenario(betas, alphas, values["T"],
+    return make_scenario(values["beta"], values["alpha"], values["T"],
                          replications=values.get("replications", 10_000),
                          seed=values.get("seed", 42),
                          level=values.get("level", 0.95),
@@ -246,10 +246,10 @@ def run_study(scenario: Scenario, methods: tuple[Method, ...] = ALL_METHODS,
     (see the module docstring).  `workers` is validated and has no effect; it
     stays so that existing callers keep working.
     """
+    methods = _as_methods(methods)
     if not methods:
         raise DomainError("at least one method is required")
     check_whole(workers, "workers")
-    methods = tuple(_as(Method, m) for m in methods)
     M = scenario.replications
     p = scenario.params.num_causes
     sums = np.zeros((3, len(methods), 2 * p))

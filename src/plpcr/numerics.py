@@ -29,21 +29,6 @@ class GammaParams:
         check_real(self.shape, "gamma shape")
         check_real(self.rate, "gamma rate")
 
-    @property
-    def mean(self) -> float:
-        return self.shape / self.rate
-
-    @property
-    def sd(self) -> float:
-        return math.sqrt(self.shape) / self.rate
-
-    @property
-    def mode(self) -> float:
-        """Density maximizer; 0.0 when shape <= 1 (mode at the boundary)."""
-        if self.shape <= 1.0:
-            return 0.0
-        return (self.shape - 1.0) / self.rate
-
 
 def reg_gamma_p(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x).

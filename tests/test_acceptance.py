@@ -30,11 +30,9 @@ from plpcr.inference import (
     Method,
     PointConvention,
     alpha_laws_from_counts,
-    bayes_points,
     build_estimate_table,
+    fit,
     log_likelihood,
-    mle_distinct,
-    reference_posterior,
 )
 from plpcr.model import PlpCauseParams, SystemParams
 from plpcr.montecarlo import PRESET_SCENARIOS, Scenario, make_scenario, run_study
@@ -119,6 +117,12 @@ def test_criterion_3_beta_internal_consistency():
             assert abs(b / math.sqrt(n) - sd) <= 1e-3
 
 
+def _reference_beta_points(stats, convention: PointConvention) -> list[float]:
+    """The beta points of the reference rows of `plpcr fit`'s table."""
+    table = build_estimate_table(stats, (Method.REFERENCE,), convention=convention)
+    return [r.point for r in table.rows if r.parameter.startswith("beta_")]
+
+
 def test_criterion_4_beta_from_raw_data():
     with criterion(4, "raw-data beta points match published values under one convention") as notes:
         history = harvester_fixture()
@@ -134,7 +138,7 @@ def test_criterion_4_beta_from_raw_data():
         times, causes = rows[:, 0], rows[:, 1]
         oracle = [np.sum(causes == j) / np.sum(np.log(stated / times[causes == j]))
                   for j in (1, 2, 3)]
-        stated_mean = bayes_points(reference_posterior(stats), PointConvention.MEAN).beta
+        stated_mean = _reference_beta_points(stats, PointConvention.MEAN)
         assert np.allclose(stated_mean, oracle, rtol=0.0, atol=1e-12), (stated_mean, oracle)
 
         # Since S_j(T) = S_j(254) + n_j log(T / 254), and a convention's point is
@@ -150,7 +154,7 @@ def test_criterion_4_beta_from_raw_data():
             window = stated * math.exp((implied_sums.sum() - log_sums.sum()) / counts.sum())
             per_cause = stated * np.exp((implied_sums - log_sums) / counts)
             refit = cause_stats(FailureHistory(history.records, window, history.num_causes))
-            points = bayes_points(reference_posterior(refit), convention).beta
+            points = _reference_beta_points(refit, convention)
             deviations[convention] = np.abs(np.array(points) - published)
             notes.append(
                 f"{convention.value}: solved T*={window:.2f} (per cause "
@@ -213,7 +217,8 @@ def test_criterion_7_oracle_suite():
         # Log-likelihood gradient vanishes at the MLE (central differences).
         history = harvester_fixture()
         stats = cause_stats(history)
-        est = mle_distinct(stats)
+        mle_beta, mle_alpha = (cells.point.tolist()
+                               for cells in fit(Method.MLE, stats.counts, stats.log_sums, 0.95))
         h = 1e-6
 
         def loglik(beta, alpha):
@@ -224,12 +229,12 @@ def test_criterion_7_oracle_suite():
             return log_likelihood(params, history)
 
         for j in range(3):
-            beta_hi = list(est.beta); beta_hi[j] += h
-            beta_lo = list(est.beta); beta_lo[j] -= h
-            g_beta = (loglik(beta_hi, est.alpha) - loglik(beta_lo, est.alpha)) / (2 * h)
-            alpha_hi = list(est.alpha); alpha_hi[j] += 10 * h
-            alpha_lo = list(est.alpha); alpha_lo[j] -= 10 * h
-            g_alpha = (loglik(est.beta, alpha_hi) - loglik(est.beta, alpha_lo)) / (20 * h)
+            beta_hi = list(mle_beta); beta_hi[j] += h
+            beta_lo = list(mle_beta); beta_lo[j] -= h
+            g_beta = (loglik(beta_hi, mle_alpha) - loglik(beta_lo, mle_alpha)) / (2 * h)
+            alpha_hi = list(mle_alpha); alpha_hi[j] += 10 * h
+            alpha_lo = list(mle_alpha); alpha_lo[j] -= 10 * h
+            g_alpha = (loglik(mle_beta, alpha_hi) - loglik(mle_beta, alpha_lo)) / (20 * h)
             assert abs(g_beta) < 1e-6
             assert abs(g_alpha) < 1e-6
 

@@ -24,16 +24,7 @@ from plpcr.errors import (
     check_real,
     check_whole,
 )
-from plpcr.inference import (
-    Method,
-    alpha_laws_from_counts,
-    build_estimate_table,
-    credible_interval,
-    fit,
-    mle_distinct,
-    mle_shared_shape,
-    reference_posterior,
-)
+from plpcr.inference import Method, alpha_laws_from_counts, build_estimate_table, fit
 from plpcr.model import PlpCauseParams, SystemParams, cumulative_intensity, intensity
 from plpcr.montecarlo import PRESET_SCENARIOS, Scenario, make_scenario, run_study
 from plpcr.numerics import GammaParams, gamma_quantile, normal_quantile, reg_gamma_p
@@ -42,7 +33,6 @@ _CAUSE = PlpCauseParams(1.0, 1.0)
 _HARVESTER = harvester_fixture()
 _SMALL = Scenario(PRESET_SCENARIOS["scenario1"].params, 64, 1)
 _STATS = CauseStats((3,), (1.0,), 10.0)
-_POSTERIOR = reference_posterior(_STATS)
 
 # Entry -> (call with the value under test, error class).  0.5 is a valid
 # value for every real entry and 1 for every whole one.
@@ -64,8 +54,6 @@ REAL_ENTRIES = {
     "fit level": (lambda v: fit(Method.REFERENCE, (3,), (1.0,), v), DomainError),
     "build_estimate_table level": (lambda v: build_estimate_table(_STATS, level=v),
                                    DomainError),
-    "credible_interval level": (lambda v: credible_interval(_POSTERIOR, "beta_1", v),
-                                DomainError),
     "CauseStats log sum": (lambda v: CauseStats((1,), (v,), 10.0), DomainError),
     "CauseStats truncation_time": (lambda v: CauseStats((1,), (1.0,), v), DomainError),
     "make_scenario beta": (lambda v: make_scenario((v,), (2.0,), 1.0), ValidationError),
@@ -149,12 +137,46 @@ def test_entry_accepts_valid_value(call, value):
     lambda: parse_history("time,cause\n1.0,1\n", 10.0, num_causes="3"),
     lambda: normal_quantile("0.5"),
     lambda: reg_gamma_p("1", 1.0),
-    lambda: mle_distinct(CauseStats((2, 3), (1.0,), 1.0)),
-    lambda: mle_shared_shape(CauseStats((2, 0), (1.0, 5.0), 1.0)),
+    lambda: CauseStats((2, 3), (1.0,), 1.0),
+    lambda: CauseStats((2, 0), (1.0, 5.0), 1.0),
 ])
 def test_former_silent_or_untyped_inputs(call):
     # Each was accepted, answered wrongly or ended in a bare TypeError.
     with pytest.raises(PlpcrError):
+        call()
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: make_scenario(1.5, 2.0, 1.0), ValidationError, "beta must be a sequence",
+                 id="make_scenario beta"),
+    pytest.param(lambda: make_scenario((1.5,), 2.0, 1.0), ValidationError,
+                 "alpha must be a sequence", id="make_scenario alpha"),
+    pytest.param(lambda: CauseStats(3, 1.0, 1.0), DomainError, "counts must be a sequence",
+                 id="CauseStats counts"),
+    pytest.param(lambda: CauseStats((3,), 1.0, 1.0), DomainError, "log sums must be a sequence",
+                 id="CauseStats log_sums"),
+    pytest.param(lambda: SystemParams(3, 1.0), DomainError, "causes must be a sequence",
+                 id="SystemParams causes"),
+    pytest.param(lambda: SystemParams((_CAUSE, 3), 1.0), DomainError,
+                 "cause 2 must be a PlpCauseParams, got int", id="SystemParams cause"),
+    pytest.param(lambda: alpha_laws_from_counts(5), ImproperPosteriorError,
+                 "counts must be a sequence", id="alpha_laws_from_counts counts"),
+    pytest.param(lambda: FailureHistory(5, 10.0, 1), ValidationError,
+                 "records must be a sequence", id="FailureHistory records"),
+    pytest.param(lambda: FailureHistory(((1.0, 1),), 10.0, 1), ValidationError,
+                 "record 1: expected a FailureRecord, got tuple", id="FailureHistory record"),
+    pytest.param(lambda: parse_history(b"time,cause", 1.0), ValidationError,
+                 "history text must be a str, got bytes", id="parse_history text"),
+    pytest.param(lambda: build_estimate_table(_STATS, methods="mle"), DomainError,
+                 "methods must be a sequence", id="build_estimate_table methods"),
+    pytest.param(lambda: run_study(_SMALL, methods="mle"), DomainError,
+                 "methods must be a sequence", id="run_study methods"),
+])
+def test_container_argument_refused(call, error, match):
+    # A scalar, a string or a bare tuple where a list, tuple or record belongs
+    # once ended in a TypeError or an AttributeError, or, for a string of
+    # methods, in "unknown method 'm'".
+    with pytest.raises(error, match=match):
         call()
 
 

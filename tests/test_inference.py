@@ -1,5 +1,6 @@
 """Estimator tests: closed-form MLEs, bias correction, posterior laws,
-intervals, and the log-likelihood, each against an independent computation."""
+intervals, and the log-likelihood, each through the kernel `fit` or the
+estimate table and checked against an independent computation."""
 from __future__ import annotations
 
 import dataclasses
@@ -28,19 +29,13 @@ from plpcr.inference import (
     Model,
     PointConvention,
     alpha_laws_from_counts,
-    bayes_points,
     build_estimate_table,
-    cmle,
-    credible_interval,
     fit,
-    jeffreys_posterior,
     log_likelihood,
-    mle_distinct,
-    mle_shared_shape,
-    reference_posterior,
 )
 from plpcr.model import PlpCauseParams, SystemParams, cumulative_intensity, intensity
-from plpcr.numerics import GammaParams, normal_quantile
+from plpcr.numerics import GammaParams, gamma_quantile, reg_gamma_p
+from reference import scalar_cells
 
 E = math.e
 
@@ -70,56 +65,70 @@ def test_frozen_anchors_match_recomputation():
         assert abs(len(times) / s - HARVESTER_BETA_HAT[j - 1]) < 1e-12
 
 
+def _cells(stats, method: Method, level: float = 0.95,
+           convention: PointConvention = PointConvention.MAP):
+    """fit's (beta, alpha) cells over the causes of `stats`."""
+    return fit(method, stats.counts, stats.log_sums, level, convention)
+
+
+def _table_rows(stats, method: Method, model: Model = Model.DISTINCT) -> dict:
+    """One method's estimate-table rows by parameter name."""
+    return {r.parameter: r for r in build_estimate_table(stats, (method,), model).rows}
+
+
 class TestMleDistinct:
     def test_single_unit_log_record(self):
         T = 7.0
         stats = cause_stats(_history([(T / E, 1)], T))
-        est = mle_distinct(stats)
-        assert abs(est.beta[0] - 1.0) < 1e-14
-        assert est.alpha == (1.0,)
+        beta, alpha = _cells(stats, Method.MLE)
+        assert abs(beta.point[0] - 1.0) < 1e-14
+        assert alpha.point.tolist() == [1.0]
 
     def test_two_records(self):
         T = 7.0
         stats = cause_stats(_history([(T / E, 1), (T / math.sqrt(E), 1)], T))
         assert abs(stats.log_sums[0] - 1.5) < 1e-13
-        est = mle_distinct(stats)
-        assert abs(est.beta[0] - 4.0 / 3.0) < 1e-13
+        beta, _ = _cells(stats, Method.MLE)
+        assert abs(beta.point[0] - 4.0 / 3.0) < 1e-13
 
     def test_harvester(self):
-        est = mle_distinct(_harvester_stats())
-        np.testing.assert_allclose(est.beta, HARVESTER_BETA_HAT, rtol=1e-12)
-        assert est.alpha == (10.0, 24.0, 14.0)
+        beta, alpha = _cells(_harvester_stats(), Method.MLE)
+        np.testing.assert_allclose(beta.point, HARVESTER_BETA_HAT, rtol=1e-12)
+        assert alpha.point.tolist() == [10.0, 24.0, 14.0]
 
     def test_requires_failures_everywhere(self):
+        # The kernel refuses a cause without failures; the table leaves it out.
         stats = cause_stats(_history([(1.0, 1)], 10.0, p=2))
-        with pytest.raises(EstimationError, match="cause 2"):
-            mle_distinct(stats)
+        with pytest.raises(DomainError, match=r"the count at index \(1,\) is 0.0"):
+            _cells(stats, Method.MLE)
+        table = build_estimate_table(stats, (Method.MLE,))
+        assert [r.parameter for r in table.rows] == ["beta_1", "alpha_1"]
+        assert table.warnings == ("cause 2: no failures observed; excluded from estimation",)
 
 
 class TestMleSharedShape:
     def test_two_causes_one_record_each(self):
         T = 5.0
         stats = cause_stats(_history([(T / E, 1), (T / E * 1.0000001, 2)], T))
-        est = mle_shared_shape(stats)
-        assert abs(est.beta[0] - 1.0) < 1e-6
-        assert est.alpha == (1.0, 1.0)
+        rows = _table_rows(stats, Method.MLE, Model.SHARED)
+        assert abs(rows["beta"].point - 1.0) < 1e-6
+        assert (rows["alpha_1"].point, rows["alpha_2"].point) == (1.0, 1.0)
 
     def test_pooled_sum(self):
         T = 5.0
         stats = cause_stats(_history([(T / E, 1), (T / E**3, 2)], T))
-        est = mle_shared_shape(stats)
-        assert abs(est.beta[0] - 0.5) < 1e-13
+        assert abs(_table_rows(stats, Method.MLE, Model.SHARED)["beta"].point - 0.5) < 1e-13
 
     def test_harvester_pooled(self):
         stats = _harvester_stats()
-        est = mle_shared_shape(stats)
-        assert abs(est.beta[0] - 48.0 / stats.log_sum_total) < 1e-14
-        assert est.alpha == (10.0, 24.0, 14.0)
+        rows = _table_rows(stats, Method.MLE, Model.SHARED)
+        assert abs(rows["beta"].point - 48.0 / stats.log_sum_total) < 1e-14
+        assert [rows[f"alpha_{j}"].point for j in (1, 2, 3)] == [10.0, 24.0, 14.0]
 
     def test_requires_any_failure(self):
         stats = cause_stats(FailureHistory((), 10.0, 2))
         with pytest.raises(EstimationError):
-            mle_shared_shape(stats)
+            build_estimate_table(stats, (Method.MLE,), Model.SHARED)
 
 
 class TestCmle:
@@ -129,80 +138,92 @@ class TestCmle:
         rows = [(T / math.exp(1.0 + 0.001 * i), 1) for i in range(10)]
         stats = cause_stats(_history(rows, T))
         scale = 10.0 / stats.log_sums[0]
-        est = cmle(stats)
-        assert abs(est.beta[0] - 0.9 * scale) < 1e-12
+        beta, _ = _cells(stats, Method.CMLE)
+        assert abs(beta.point[0] - 0.9 * scale) < 1e-12
 
     def test_two_records(self):
         T = 7.0
         stats = cause_stats(_history([(T / E, 1), (T / math.sqrt(E), 1)], T))
-        est = cmle(stats)
-        assert abs(est.beta[0] - 2.0 / 3.0) < 1e-13
+        beta, _ = _cells(stats, Method.CMLE)
+        assert abs(beta.point[0] - 2.0 / 3.0) < 1e-13
 
     def test_equals_reference_map(self):
         stats = _harvester_stats()
-        corrected = cmle(stats)
-        mapped = bayes_points(reference_posterior(stats))
-        assert corrected.beta == mapped.beta
-        for b, n, bhat in zip(corrected.beta, stats.counts, HARVESTER_BETA_HAT):
+        corrected = _cells(stats, Method.CMLE)[0].point.tolist()
+        assert corrected == _cells(stats, Method.REFERENCE)[0].point.tolist()
+        for b, n, bhat in zip(corrected, stats.counts, HARVESTER_BETA_HAT):
             assert abs(b - (n - 1) / n * bhat) < 1e-12
 
     def test_requires_two_failures(self):
+        # At n = 1 the corrected point (n - 1) / S is 0, so the table leaves
+        # the cause out of the cmle rows and says why.
         stats = cause_stats(_history([(1.0, 1), (2.0, 2), (3.0, 2)], 10.0))
-        with pytest.raises(EstimationError, match="cause 1"):
-            cmle(stats)
+        assert _cells(stats, Method.CMLE)[0].point.tolist()[0] == 0.0
+        table = build_estimate_table(stats, (Method.CMLE,))
+        assert [r.parameter for r in table.rows] == ["beta_2", "alpha_2"]
+        assert table.warnings == ("cause 1: single failure; bias-corrected estimate "
+                                  "degenerates at 0; excluded from cmle rows",)
 
     def test_shared_requires_two_total(self):
         stats = cause_stats(_history([(1.0, 1)], 10.0))
-        with pytest.raises(EstimationError):
-            cmle(stats, Model.SHARED)
+        table = build_estimate_table(stats, (Method.MLE, Method.CMLE), Model.SHARED)
+        assert {r.method for r in table.rows} == {Method.MLE}
+        assert "fewer than 2 failures in total; bias-corrected rows omitted" in table.warnings
+
+
+# The tail masses of a 95% equal-tail interval, as the kernel computes them.
+_TAILS = ((1.0 - 0.95) / 2.0, (1.0 + 0.95) / 2.0)
 
 
 class TestPosteriors:
     def test_reference_laws(self):
+        # Gamma(n_j, S_j) for each beta and Gamma(n_j + 1/2, 1) for each alpha.
         stats = _harvester_stats()
-        post = reference_posterior(stats)
-        assert post.method is Method.REFERENCE
-        for law, n, s in zip(post.beta_laws, stats.counts, stats.log_sums):
-            assert law.shape == float(n)
-            assert law.rate == s  # n / beta_hat collapses to the log sum
-        for law, n in zip(post.alpha_laws, stats.counts):
-            assert law.shape == n + 0.5
-            assert law.rate == 1.0
+        beta, alpha = _cells(stats, Method.REFERENCE)
+        for j, (n, s) in enumerate(zip(stats.counts, stats.log_sums)):
+            for cells, law in ((beta, GammaParams(float(n), s)),
+                               (alpha, GammaParams(n + 0.5, 1.0))):
+                assert cells.sd[j] == math.sqrt(law.shape) / law.rate
+                assert (cells.lo[j], cells.hi[j]) == tuple(gamma_quantile(law, q) for q in _TAILS)
 
     def test_jeffreys_alpha_shift(self):
         stats = _harvester_stats()
-        ref = reference_posterior(stats)
-        jef = jeffreys_posterior(stats)
-        assert jef.beta_laws == ref.beta_laws
-        for j_law, r_law in zip(jef.alpha_laws, ref.alpha_laws):
-            assert j_law.shape - r_law.shape == 0.5
-            assert j_law.rate == r_law.rate == 1.0
+        ref_beta, ref_alpha = _cells(stats, Method.REFERENCE)
+        jef_beta, jef_alpha = _cells(stats, Method.JEFFREYS)
+        assert [c.tolist() for c in jef_beta] == [c.tolist() for c in ref_beta]
+        for n, j_sd, r_sd, lo in zip(stats.counts, jef_alpha.sd, ref_alpha.sd, jef_alpha.lo):
+            assert abs(j_sd**2 - r_sd**2 - 0.5) < 1e-12
+            assert lo == gamma_quantile(GammaParams(n + 1.0, 1.0), _TAILS[0])
 
     def test_single_failure_exponential_beta_law(self):
+        # At n = 1 the beta law is the exponential of rate S = 1: mean and sd 1.
         T = 7.0
         stats = cause_stats(_history([(T / E, 1)], T))
-        post = reference_posterior(stats)
-        assert post.beta_laws[0].shape == 1.0
-        assert abs(post.beta_laws[0].rate - 1.0) < 1e-14
+        beta, _ = _cells(stats, Method.REFERENCE, convention=PointConvention.MEAN)
+        assert abs(beta.point[0] - 1.0) < 1e-14
+        assert abs(beta.sd[0] - 1.0) < 1e-14
 
     def test_shared_reference_pools_beta(self):
         stats = _harvester_stats()
-        post = reference_posterior(stats, Model.SHARED)
-        assert len(post.beta_laws) == 1
-        assert post.beta_laws[0].shape == 48.0
-        assert abs(post.beta_laws[0].rate - stats.log_sum_total) < 1e-12
-        assert len(post.alpha_laws) == 3
+        table = build_estimate_table(stats, (Method.REFERENCE,), Model.SHARED)
+        assert [r.parameter for r in table.rows] == ["beta", "alpha_1", "alpha_2", "alpha_3"]
+        pooled, law = table.rows[0], GammaParams(48.0, stats.log_sum_total)
+        assert pooled.sd == math.sqrt(48.0) / stats.log_sum_total
+        assert (pooled.ci_lo, pooled.ci_hi) == tuple(gamma_quantile(law, q) for q in _TAILS)
 
     def test_shared_jeffreys_refused(self):
         with pytest.raises(UnsupportedModelError):
-            jeffreys_posterior(_harvester_stats(), Model.SHARED)
+            build_estimate_table(_harvester_stats(), (Method.REFERENCE, Method.JEFFREYS),
+                                 Model.SHARED)
 
     def test_improper_on_empty_cause(self):
+        # Without failures a cause's alpha posterior is improper: the count-only
+        # laws refuse it, and the table leaves the cause out.
+        with pytest.raises(ImproperPosteriorError, match="cause 2"):
+            alpha_laws_from_counts((1, 0))
         stats = cause_stats(_history([(1.0, 1)], 10.0, p=2))
-        with pytest.raises(ImproperPosteriorError, match="cause"):
-            reference_posterior(stats)
-        with pytest.raises(ImproperPosteriorError):
-            jeffreys_posterior(stats)
+        for method in (Method.JEFFREYS, Method.REFERENCE):
+            assert list(_table_rows(stats, method)) == ["beta_1", "alpha_1"]
 
     def test_warranty_count_laws(self):
         laws = alpha_laws_from_counts((99, 118, 155))
@@ -211,16 +232,14 @@ class TestPosteriors:
         assert [law.shape for law in jeff] == [100.0, 119.0, 156.0]
 
     def test_scale_equivariance(self):
-        # Doubling all times and T leaves every posterior law unchanged
-        # (exactly so, since binary scaling preserves the time ratios).
+        # Doubling all times and T leaves every estimate unchanged (exactly
+        # so, since binary scaling preserves the time ratios).
         original = harvester_fixture()
         doubled = FailureHistory(
             tuple(FailureRecord(2.0 * r.time, r.cause) for r in original.records),
             2.0 * original.truncation_time, original.num_causes)
-        post_a = reference_posterior(cause_stats(original))
-        post_b = reference_posterior(cause_stats(doubled))
-        assert post_a.beta_laws == post_b.beta_laws
-        assert post_a.alpha_laws == post_b.alpha_laws
+        assert (build_estimate_table(cause_stats(original))
+                == build_estimate_table(cause_stats(doubled)))
 
     def test_scale_equivariance_nonbinary(self):
         original = harvester_fixture()
@@ -228,10 +247,12 @@ class TestPosteriors:
         scaled = FailureHistory(
             tuple(FailureRecord(c * r.time, r.cause) for r in original.records),
             c * original.truncation_time, original.num_causes)
-        post_a = reference_posterior(cause_stats(original))
-        post_b = reference_posterior(cause_stats(scaled))
-        for a, b in zip(post_a.beta_laws, post_b.beta_laws):
-            assert abs(a.rate - b.rate) <= 1e-12 * a.rate
+        rows_a = build_estimate_table(cause_stats(original)).rows
+        rows_b = build_estimate_table(cause_stats(scaled)).rows
+        for a, b in zip(rows_a, rows_b, strict=True):
+            assert (a.parameter, a.method) == (b.parameter, b.method)
+            for field in ("point", "sd", "sd_paper_compat", "ci_lo", "ci_hi"):
+                assert getattr(b, field) == pytest.approx(getattr(a, field), rel=1e-12, abs=1e-12)
 
 
 class TestBayesPoints:
@@ -240,44 +261,39 @@ class TestBayesPoints:
         T = 100.0
         rows = [(T / math.exp(1.0 / 0.6144 + 0.0001 * i), 1) for i in range(10)]
         stats = cause_stats(_history(rows, T))
-        post = reference_posterior(stats)
-        points = bayes_points(post)
-        assert abs(points.beta[0] - 0.9 * (10.0 / stats.log_sums[0])) < 1e-12
-        assert round(points.beta[0], 3) == 0.553
+        point = _cells(stats, Method.REFERENCE)[0].point[0]
+        assert abs(point - 0.9 * (10.0 / stats.log_sums[0])) < 1e-12
+        assert round(point, 3) == 0.553
 
     def test_alpha_points_are_counts(self):
-        post = reference_posterior(_harvester_stats())
-        points = bayes_points(post)
-        assert points.alpha == (10.0, 24.0, 14.0)
-        assert bayes_points(post, PointConvention.MEAN).alpha == (10.0, 24.0, 14.0)
+        for method, convention in itertools.product(ALL_METHODS, PointConvention):
+            alpha = _cells(_harvester_stats(), method, convention=convention)[1]
+            assert alpha.point.tolist() == [10.0, 24.0, 14.0]
 
     def test_mean_convention(self):
         stats = _harvester_stats()
-        points = bayes_points(reference_posterior(stats), PointConvention.MEAN)
-        np.testing.assert_allclose(points.beta, HARVESTER_BETA_HAT, rtol=1e-12)
-        assert points.beta_degenerate == (False, False, False)
+        beta, _ = _cells(stats, Method.REFERENCE, convention=PointConvention.MEAN)
+        np.testing.assert_allclose(beta.point, HARVESTER_BETA_HAT, rtol=1e-12)
+        assert build_estimate_table(stats, convention=PointConvention.MEAN).warnings == ()
 
     def test_degenerate_map_at_single_failure(self):
         T = 7.0
         stats = cause_stats(_history([(T / E, 1)], T))
-        points = bayes_points(reference_posterior(stats))
-        assert points.beta == (0.0,)
-        assert points.beta_degenerate == (True,)
+        assert _cells(stats, Method.REFERENCE)[0].point.tolist() == [0.0]
+        warnings = build_estimate_table(stats, (Method.REFERENCE,)).warnings
+        assert warnings == ("cause 1: single failure; the MAP beta point is 0 (posterior mode "
+                            "at the boundary); use --point mean for the posterior mean",)
 
 
 class TestCredibleInterval:
     def test_harvester_alpha1(self):
-        post = reference_posterior(_harvester_stats())
-        lo, hi = credible_interval(post, "alpha_1", 0.95)
-        assert abs(lo - 5.141) < 1e-3
-        assert abs(hi - 17.739) < 1e-3
+        alpha = _cells(_harvester_stats(), Method.REFERENCE)[1]
+        assert abs(alpha.lo[0] - 5.141) < 1e-3
+        assert abs(alpha.hi[0] - 17.739) < 1e-3
 
     def test_warranty_alpha3(self):
-        laws = alpha_laws_from_counts((99, 118, 155))
-        post_like = reference_posterior(
-            cause_stats(harvester_fixture()))
         # Direct quantile check on the count-only law.
-        from plpcr.numerics import gamma_quantile
+        laws = alpha_laws_from_counts((99, 118, 155))
         lo = gamma_quantile(laws[2], 0.025)
         hi = gamma_quantile(laws[2], 0.975)
         assert abs(lo - 132.020) < 1e-3
@@ -287,28 +303,67 @@ class TestCredibleInterval:
         # Gamma(1,1) equal-tail bounds are -log(1 -/+ tail mass).
         T = 7.0
         stats = cause_stats(_history([(T / E, 1)], T))
-        post = reference_posterior(stats)
-        lo, hi = credible_interval(post, "beta_1", 0.95)
+        beta, _ = _cells(stats, Method.REFERENCE)
+        lo, hi = beta.lo[0], beta.hi[0]
         assert abs(lo - (-math.log(0.975))) < 1e-4
         assert abs(hi - (-math.log(0.025))) < 1e-4
         assert abs(lo - 0.02532) < 1e-4
         assert abs(hi - 3.68888) < 1e-4
 
     def test_mass_matches_level(self):
-        from plpcr.numerics import reg_gamma_p
-        post = reference_posterior(_harvester_stats())
-        for name in ("beta_1", "beta_2", "beta_3", "alpha_1", "alpha_2", "alpha_3"):
-            law = post.law_for(name)
-            lo, hi = credible_interval(post, name, 0.95)
-            mass = reg_gamma_p(law.shape, law.rate * hi) - reg_gamma_p(law.shape, law.rate * lo)
-            assert abs(mass - 0.95) < 1e-8
+        stats = _harvester_stats()
+        for method, level in itertools.product((Method.JEFFREYS, Method.REFERENCE), (0.5, 0.95)):
+            beta, alpha = _cells(stats, method, level)
+            offset = 1.0 if method is Method.JEFFREYS else 0.5
+            for j, (n, s) in enumerate(zip(stats.counts, stats.log_sums)):
+                for cells, shape, rate in ((beta, n, s), (alpha, n + offset, 1.0)):
+                    mass = (reg_gamma_p(shape, rate * cells.hi[j])
+                            - reg_gamma_p(shape, rate * cells.lo[j]))
+                    assert abs(mass - level) < 1e-8
 
     def test_level_domain(self):
-        post = reference_posterior(_harvester_stats())
-        with pytest.raises(DomainError):
-            credible_interval(post, "alpha_1", 1.0)
-        with pytest.raises(DomainError):
-            credible_interval(post, "nonsense", 0.95)
+        stats = _harvester_stats()
+        for level in (0.0, 1.0):
+            with pytest.raises(DomainError):
+                _cells(stats, Method.REFERENCE, level)
+            with pytest.raises(DomainError):
+                build_estimate_table(stats, (Method.REFERENCE,), level=level)
+
+
+class TestIntervalProperties:
+    """Order properties of every method's intervals, over (n, S) and levels."""
+
+    _levels = st.lists(st.integers(1, 99), min_size=2, max_size=2, unique=True).map(
+        lambda pair: tuple(sorted(k / 100.0 for k in pair)))
+
+    @staticmethod
+    def _methods(n: int) -> tuple[Method, ...]:
+        # At n = 1 the cmle point and its Wald interval collapse to 0.
+        return ALL_METHODS if n >= 2 else (Method.MLE, Method.JEFFREYS, Method.REFERENCE)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 10_000), s=st.floats(1e-3, 1e4), levels=_levels)
+    def test_intervals_nest_as_level_grows(self, n, s, levels):
+        for method in self._methods(n):
+            inner, outer = (fit(method, [n], [s], level) for level in levels)
+            for small, large in zip(inner, outer):
+                assert large.lo[0] < small.lo[0] and small.hi[0] < large.hi[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 10_000), s=st.floats(1e-3, 1e4),
+           level=st.floats(0.01, 0.99), convention=st.sampled_from(list(PointConvention)))
+    def test_lower_below_upper(self, n, s, level, convention):
+        for method in self._methods(n):
+            for cells in fit(method, [n], [s], level, convention):
+                assert cells.lo[0] < cells.hi[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.floats(0.5, 1e4), rate=st.floats(1e-3, 1e3),
+           qs=st.lists(st.integers(1, 999), min_size=2, max_size=2, unique=True))
+    def test_gamma_quantile_increases(self, shape, rate, qs):
+        lo, hi = sorted(k / 1000.0 for k in qs)
+        law = GammaParams(shape, rate)
+        assert gamma_quantile(law, lo) < gamma_quantile(law, hi)
 
 
 class TestWaldInterval:
@@ -373,37 +428,14 @@ class TestFitKernel:
            level=st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99]),
            convention=st.sampled_from(list(PointConvention)))
     def test_cells_equal_library_estimators(self, causes, level, convention):
-        # Same arithmetic as the reference functions, so equal to the bit.
+        # Same arithmetic as the scalar reference, so equal to the bit.
         counts = tuple(n for n, _ in causes)
         log_sums = tuple(s for _, s in causes)
-        stats = CauseStats(counts, log_sums, 1.0)
-        z = normal_quantile((1.0 + level) / 2.0)
-        references = [(Method.MLE, mle_distinct(stats))]
-        if min(counts) >= 2:
-            references.append((Method.CMLE, cmle(stats)))
-        for method, est in references:
-            beta, alpha = fit(method, counts, log_sums, level, convention)
-            assert beta.point.tolist() == list(est.beta)
-            assert alpha.point.tolist() == list(est.alpha)
-            for cells, se in ((beta, [b / math.sqrt(n) for b, n in zip(est.beta, counts)]),
-                              (alpha, [math.sqrt(n) for n in counts])):
-                assert cells.sd.tolist() == cells.sd_paper_compat.tolist() == se
-                assert cells.lo.tolist() == [p - z * e for p, e in zip(cells.point, se)]
-                assert cells.hi.tolist() == [p + z * e for p, e in zip(cells.point, se)]
-        for method, post in ((Method.JEFFREYS, jeffreys_posterior(stats)),
-                             (Method.REFERENCE, reference_posterior(stats))):
-            beta, alpha = fit(method, counts, log_sums, level, convention)
-            points = bayes_points(post, convention)
-            assert beta.point.tolist() == list(points.beta)
-            assert alpha.point.tolist() == list(points.alpha)
-            assert beta.sd.tolist() == beta.sd_paper_compat.tolist() == [
-                law.sd for law in post.beta_laws]
-            assert alpha.sd.tolist() == [law.sd for law in post.alpha_laws]
-            assert alpha.sd_paper_compat.tolist() == [math.sqrt(n) for n in counts]
-            for kind, cells in (("beta", beta), ("alpha", alpha)):
-                for j in range(len(counts)):
-                    assert (cells.lo[j], cells.hi[j]) == credible_interval(
-                        post, f"{kind}_{j + 1}", level)
+        for method in ALL_METHODS:
+            got = [list(zip(*(c.tolist() for c in family)))
+                   for family in fit(method, counts, log_sums, level, convention)]
+            want = [scalar_cells(method, n, s, level, convention) for n, s in causes]
+            assert got == [[beta for beta, _ in want], [alpha for _, alpha in want]]
 
     @settings(max_examples=150, deadline=None)
     @given(causes=st.lists(st.tuples(st.integers(0, 300), st.floats(1e-3, 1e4)),
@@ -411,44 +443,25 @@ class TestFitKernel:
            level=st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99]),
            convention=st.sampled_from(list(PointConvention)))
     def test_pooled_cells_equal_library_estimators(self, causes, level, convention):
-        # A cause without failures has S_j = 0, as cause_stats gives it.
+        # A cause without failures has S_j = 0, as cause_stats gives it, and
+        # adds only that 0 to the pooled sum.
         counts = tuple(n for n, _ in causes)
         assume(sum(counts) >= 1)
         log_sums = tuple(s if n else 0.0 for n, s in causes)
         stats = CauseStats(counts, log_sums, 1.0)
-        usable = [j for j, n in enumerate(counts, start=1) if n >= 1]
         table = build_estimate_table(stats, model=Model.SHARED, level=level,
                                      convention=convention)
         got = {(r.parameter, r.method): (r.point, r.sd, r.sd_paper_compat, r.ci_lo, r.ci_hi)
                for r in table.rows}
         assert all(r.level == level for r in table.rows)
-        z = normal_quantile((1.0 + level) / 2.0)
-
-        def wald(point, se):
-            return (point, se, se, point - z * se, point + z * se)
-
+        methods = [Method.MLE, Method.REFERENCE] + ([Method.CMLE] if sum(counts) >= 2 else [])
         want = {}
-        references = [(Method.MLE, mle_shared_shape(stats))]
-        if sum(counts) >= 2:
-            references.append((Method.CMLE, cmle(stats, Model.SHARED)))
-        for method, est in references:
-            want["beta", method] = wald(est.beta[0], est.beta[0] / math.sqrt(sum(counts)))
-            for j in usable:
-                want[f"alpha_{j}", method] = wald(est.alpha[j - 1], math.sqrt(counts[j - 1]))
-        # The reference posterior of the causes with failures; an empty
-        # cause adds only S_j = 0 to the pooled sum.
-        kept = CauseStats(tuple(counts[j - 1] for j in usable),
-                          tuple(log_sums[j - 1] for j in usable), 1.0)
-        post = reference_posterior(kept, Model.SHARED)
-        points = bayes_points(post, convention)
-        want["beta", Method.REFERENCE] = (points.beta[0], post.beta_laws[0].sd,
-                                          post.beta_laws[0].sd,
-                                          *credible_interval(post, "beta", level))
-        for i, j in enumerate(usable, start=1):
-            law = post.alpha_laws[i - 1]
-            want[f"alpha_{j}", Method.REFERENCE] = (points.alpha[i - 1], law.sd,
-                                                    math.sqrt(counts[j - 1]),
-                                                    *credible_interval(post, f"alpha_{i}", level))
+        for method in methods:
+            want["beta", method] = scalar_cells(method, sum(counts), math.fsum(log_sums), level,
+                                                convention)[0]
+            for j, (n, s) in enumerate(zip(counts, log_sums), start=1):
+                if n:
+                    want[f"alpha_{j}", method] = scalar_cells(method, n, s, level, convention)[1]
         assert got == want
 
     def test_elementwise_over_replications(self):
@@ -482,8 +495,8 @@ class TestFitKernel:
     def test_pooled_mles_accept_empty_cause(self):
         # A cause without failures has S_j = 0, which the pooled model accepts.
         stats = CauseStats((2, 3, 0), (0.5, 1.0, 0.0), 10.0)
-        assert mle_shared_shape(stats).beta == (5.0 / 1.5,)
-        assert cmle(stats, Model.SHARED).beta == (4.0 / 1.5,)
+        assert _table_rows(stats, Method.MLE, Model.SHARED)["beta"].point == 5.0 / 1.5
+        assert _table_rows(stats, Method.CMLE, Model.SHARED)["beta"].point == 4.0 / 1.5
 
     def test_method_spellings(self):
         # A method or convention named by its value gives the cells of the
@@ -493,26 +506,13 @@ class TestFitKernel:
             for got, want in zip(spelled, fit(method, (3, 7), (1.5, 4.0), 0.9, convention)):
                 assert [c.tolist() for c in got] == [c.tolist() for c in want]
         assert fit("reference", [3], [1.0], 0.95, "map")[0].point.tolist() == [2.0]
-        stats = _harvester_stats()
+        assert fit("reference", [3], [1.0], 0.95, "mean")[0].point.tolist() == [3.0]
         assert alpha_laws_from_counts((3,), "reference") == (GammaParams(3.5, 1.0),)
         assert alpha_laws_from_counts((3,), "jeffreys") == (GammaParams(4.0, 1.0),)
-        for model in Model:
-            assert cmle(stats, model.value) == cmle(stats, model)
-            assert reference_posterior(stats, model.value) == reference_posterior(stats, model)
-        assert jeffreys_posterior(stats, "distinct") == jeffreys_posterior(stats)
-        with pytest.raises(UnsupportedModelError):
-            jeffreys_posterior(stats, "shared")
-        post = reference_posterior(CauseStats((3,), (1.0,), 1.0))
-        assert bayes_points(post, "map") == bayes_points(post, PointConvention.MAP)
-        assert bayes_points(post, "map").beta == (2.0,)
-        assert bayes_points(post, "mean").beta == (3.0,)
         # An unknown value is refused with the valid ones listed.
         for call, expected in (
                 (lambda: fit("mle", (2,), (1.0,), 0.95, "median"), "map, mean"),
-                (lambda: bayes_points(post, "median"), "map, mean"),
-                (lambda: cmle(stats, "pooled"), "distinct, shared"),
-                (lambda: reference_posterior(stats, "pooled"), "distinct, shared"),
-                (lambda: jeffreys_posterior(stats, "pooled"), "distinct, shared"),
+                (lambda: fit("bogus", (2,), (1.0,), 0.95), "mle, cmle, jeffreys, reference"),
                 (lambda: alpha_laws_from_counts((3,), "bogus"), "mle, cmle, jeffreys, reference"),
         ):
             with pytest.raises(DomainError, match=f"expected one of {expected}"):
@@ -536,6 +536,27 @@ class TestFitKernel:
             for method in ALL_METHODS:
                 with pytest.raises(DomainError):
                     fit(method, counts, log_sums, 0.95)
+
+    def test_fault_message_names_the_entry(self):
+        # One bad entry in a study-sized block: the message gives the shapes and
+        # the first bad entry's index and value, not the arrays.
+        counts, log_sums = np.full((65_536, 2), 3.0), np.ones((65_536, 2))
+        counts[388, 1], log_sums[700, 0] = 2.5, math.nan
+        for method in ALL_METHODS:
+            with pytest.raises(DomainError) as caught:
+                fit(method, counts, log_sums, 0.95)
+            message = str(caught.value)
+            assert "shape (65536, 2)" in message and "count at index (388, 1) is 2.5" in message
+            assert len(message) < 200
+        counts[388, 1] = 3.0
+        with pytest.raises(DomainError, match=r"log sum at index \(700, 0\) is nan"):
+            fit(Method.MLE, counts, log_sums, 0.95)
+        with pytest.raises(DomainError, match=r"^counts of shape \(65536, 2\) and log sums of "
+                                              r"shape \(65536,\) differ in shape$"):
+            fit(Method.MLE, counts, log_sums[:, 0], 0.95)
+        with pytest.raises(DomainError) as caught:
+            fit(Method.MLE, ["a"] * 65_536, [1.0] * 65_536, 0.95)
+        assert len(str(caught.value)) < 200
 
 
 class TestLogLikelihood:
@@ -568,35 +589,26 @@ class TestLogLikelihood:
     def test_maximized_at_mle(self):
         history = harvester_fixture()
         stats = cause_stats(history)
-        est = mle_distinct(stats)
-        at_mle = log_likelihood(_params_from(est, stats.truncation_time), history)
+        beta, alpha = (cells.point.tolist() for cells in _cells(stats, Method.MLE))
+        at_mle = log_likelihood(_params_from(beta, alpha, stats.truncation_time), history)
         for db in (-0.01, 0.01):
             for da in (-0.1, 0.1):
-                perturbed = SystemParams(
-                    tuple(PlpCauseParams(b + db, a + da, j + 1)
-                          for j, (b, a) in enumerate(zip(est.beta, est.alpha))),
-                    stats.truncation_time)
+                perturbed = _params_from([b + db for b in beta], [a + da for a in alpha],
+                                         stats.truncation_time)
                 assert log_likelihood(perturbed, history) <= at_mle
 
     def test_gradient_zero_at_mle(self):
         history = harvester_fixture()
         stats = cause_stats(history)
-        est = mle_distinct(stats)
+        mle = [cells.point.tolist() for cells in _cells(stats, Method.MLE)]
         h = 1e-6
         for j in range(3):
-            for field, step in (("beta", h), ("alpha", 10 * h)):
+            for family, step in ((0, h), (1, 10 * h)):
                 def value(eps: float) -> float:
-                    beta = list(est.beta)
-                    alpha = list(est.alpha)
-                    if field == "beta":
-                        beta[j] += eps
-                    else:
-                        alpha[j] += eps
-                    params = SystemParams(
-                        tuple(PlpCauseParams(b, a, k + 1)
-                              for k, (b, a) in enumerate(zip(beta, alpha))),
-                        stats.truncation_time)
-                    return log_likelihood(params, history)
+                    beta, alpha = (list(points) for points in mle)
+                    (beta, alpha)[family][j] += eps
+                    return log_likelihood(_params_from(beta, alpha, stats.truncation_time),
+                                          history)
 
                 gradient = (value(step) - value(-step)) / (2.0 * step)
                 assert abs(gradient) < 1e-6
@@ -611,10 +623,9 @@ class TestLogLikelihood:
             log_likelihood(params3, history)
 
 
-def _params_from(est, T):
+def _params_from(beta, alpha, T):
     return SystemParams(
-        tuple(PlpCauseParams(b, a, j + 1)
-              for j, (b, a) in enumerate(zip(est.beta, est.alpha))), T)
+        tuple(PlpCauseParams(b, a, j + 1) for j, (b, a) in enumerate(zip(beta, alpha))), T)
 
 
 class TestConditionalUnbiasedness:

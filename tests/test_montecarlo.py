@@ -13,18 +13,9 @@ from scipy import stats
 
 from histories import simulate_history, stream
 from plpcr import inference, montecarlo
-from plpcr.data import CauseStats, cause_stats
+from plpcr.data import cause_stats
 from plpcr.errors import DomainError, PlpcrError, StudyError, ValidationError
-from plpcr.inference import (
-    ALL_METHODS,
-    Method,
-    bayes_points,
-    cmle,
-    credible_interval,
-    jeffreys_posterior,
-    mle_distinct,
-    reference_posterior,
-)
+from plpcr.inference import ALL_METHODS, Method
 from plpcr.montecarlo import (
     PRESET_SCENARIOS,
     McReport,
@@ -34,7 +25,7 @@ from plpcr.montecarlo import (
     parse_scenario,
     run_study,
 )
-from plpcr.numerics import normal_quantile
+from reference import scalar_cells
 
 
 class TestSimulateHistory:
@@ -285,12 +276,11 @@ class TestRunStudy:
 
 def _scalar_study(scenario: Scenario, methods) -> McReport:
     """The study rebuilt from the engine's own block draws, one replication,
-    method and parameter at a time, with the library estimators."""
+    method and cause at a time, with the scalar reference cells."""
     causes = scenario.params.causes
     p = len(causes)
     names = [f"beta_{j}" for j in range(1, p + 1)] + [f"alpha_{j}" for j in range(1, p + 1)]
     truth = [c.beta for c in causes] + [c.alpha for c in causes]
-    z = normal_quantile((1.0 + scenario.level) / 2.0)
     rel, sq, cover = ([[0.0] * (2 * p) for _ in methods] for _ in range(3))
     used = discarded = 0
     M, block_size = scenario.replications, montecarlo._BLOCK
@@ -299,22 +289,11 @@ def _scalar_study(scenario: Scenario, methods) -> McReport:
             scenario, block, min(block_size, M - start))
         discarded += block_discarded
         for n_row, s_row in zip(counts.tolist(), log_sums.tolist()):
-            stats_row = CauseStats(tuple(n_row), tuple(s_row), scenario.params.truncation_time)
             used += 1
             for m, method in enumerate(methods):
-                if method in (Method.MLE, Method.CMLE):
-                    est = mle_distinct(stats_row) if method is Method.MLE else cmle(stats_row)
-                    points = list(est.beta) + list(est.alpha)
-                    ses = ([b / math.sqrt(n) for b, n in zip(est.beta, n_row)]
-                           + [math.sqrt(n) for n in n_row])
-                    intervals = [(x - z * se, x + z * se) for x, se in zip(points, ses)]
-                else:
-                    post = (jeffreys_posterior(stats_row) if method is Method.JEFFREYS
-                            else reference_posterior(stats_row))
-                    est = bayes_points(post)
-                    points = list(est.beta) + list(est.alpha)
-                    intervals = [credible_interval(post, name, scenario.level) for name in names]
-                for k, (theta, x, (lo, hi)) in enumerate(zip(truth, points, intervals)):
+                cells = [scalar_cells(method, n, s, scenario.level) for n, s in zip(n_row, s_row)]
+                ordered = [beta for beta, _ in cells] + [alpha for _, alpha in cells]
+                for k, (theta, (x, _, _, lo, hi)) in enumerate(zip(truth, ordered)):
                     rel[m][k] += x / theta
                     sq[m][k] += (x - theta) ** 2
                     cover[m][k] += 1.0 if lo <= theta <= hi else 0.0
