@@ -8,6 +8,7 @@ precision and contain identical values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -54,13 +55,14 @@ def _read_text(path) -> str:
 
 
 def _load_history(args):
-    if args.fixtures:
+    if args.fixtures:  # the parser admits exactly one of --input and --fixtures
+        if args.truncation is not None or args.num_causes is not None:
+            raise ValidationError("--truncation and --num-causes describe an --input "
+                                  "file; a fixture carries its own")
         return _FIXTURES[args.fixtures]()
-    if not args.input:
-        raise PlpcrError("either --input with --truncation or --fixtures is required")
     if args.truncation is None:
-        raise PlpcrError("--truncation is required with --input (it is never "
-                         "inferred from the data)")
+        raise ValidationError("--truncation is required with --input (it is never "
+                              "inferred from the data)")
     return parse_history(_read_text(args.input), args.truncation, args.num_causes)
 
 
@@ -108,39 +110,30 @@ def _parse_methods(text: str) -> tuple[Method, ...]:
     if text.strip().lower() == "all":
         return ALL_METHODS
     chosen = []
-    for token in text.split(","):
-        token = token.strip().lower()
-        if not token:
-            continue
+    for token in filter(None, (t.strip().lower() for t in text.split(","))):
         try:
             chosen.append(Method(token))
         except ValueError:
-            raise PlpcrError(f"unknown method {token!r}; expected mle, cmle, "
-                             "jeffreys, reference, or all") from None
+            raise argparse.ArgumentTypeError(f"unknown method {token!r}; expected mle, "
+                                             "cmle, jeffreys, reference, or all") from None
     if not chosen:
-        raise PlpcrError("no methods selected")
+        raise argparse.ArgumentTypeError("no methods selected")
     return tuple(dict.fromkeys(chosen))
 
 
+def _parse_prior(text: str) -> tuple[Method, ...]:
+    if text not in ("reference", "jeffreys"):
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from "
+                                         "'reference', 'jeffreys')")
+    return (Method(text),)
+
+
 def _cmd_fit(args) -> int:
-    history = _load_history(args)
-    stats = cause_stats(history)
-    if args.methods:
-        methods = _parse_methods(args.methods)
-    elif args.prior:
-        methods = (args.prior,)
-    else:
-        methods = ALL_METHODS
-    convention = PointConvention.MEAN if args.paper_compat else args.point
-    table = build_estimate_table(stats, methods=methods, model=args.model,
-                                 level=args.level, convention=convention)
+    table = build_estimate_table(cause_stats(_load_history(args)), methods=args.methods,
+                                 model=args.model, level=args.level, convention=args.point)
     _warn_records(table.warnings)
-    if args.format == "csv":
-        _emit(_table_csv(table), args.output)
-    elif args.format == "json":
-        _emit(_table_json(table), args.output)
-    else:
-        _emit(_table_text(table), args.output)
+    render = {"table": _table_text, "csv": _table_csv, "json": _table_json}[args.format]
+    _emit(render(table), args.output)
     return 0
 
 
@@ -151,26 +144,16 @@ def _resolve_scenario(args) -> Scenario:
     else:
         path = Path(label)
         if not path.exists():
-            raise PlpcrError(f"scenario {label!r} is neither a preset "
-                             f"({', '.join(PRESET_SCENARIOS)}) nor a file")
+            raise ValidationError(f"scenario {label!r} is neither a preset "
+                                  f"({', '.join(PRESET_SCENARIOS)}) nor a file")
         base = parse_scenario(_read_text(path), name=path.stem)
-    return Scenario(
-        params=base.params,
-        replications=args.replications if args.replications is not None else base.replications,
-        master_seed=args.seed if args.seed is not None else base.master_seed,
-        level=args.level if args.level is not None else base.level,
-        name=base.name,
-    )
+    given = {"replications": args.replications, "master_seed": args.seed, "level": args.level}
+    return dataclasses.replace(base, **{k: v for k, v in given.items() if v is not None})
 
 
 def _cmd_simulate(args) -> int:
-    scenario = _resolve_scenario(args)
-    methods = _parse_methods(args.methods) if args.methods else ALL_METHODS
-    report = run_study(scenario, methods=methods, workers=args.workers)
-    if args.format == "json":
-        _emit(report.to_json(), args.output)
-    else:
-        _emit(report.to_csv(), args.output)
+    report = run_study(_resolve_scenario(args), methods=args.methods)
+    _emit(report.to_json() if args.format == "json" else report.to_csv(), args.output)
     return 0
 
 
@@ -192,19 +175,33 @@ def _cmd_fixtures(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage faults raise ValidationError, which main reports like any other."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
 def _add_input_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", help="CSV file with header time,cause")
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="CSV file with header time,cause")
+    source.add_argument("--fixtures", choices=sorted(_FIXTURES),
+                        help="analyze a bundled dataset instead of --input")
     parser.add_argument("--truncation", type=float,
                         help="observation window end T (required with --input)")
     parser.add_argument("--num-causes", type=int, default=None,
                         help="number of causes when it exceeds the largest observed label")
-    parser.add_argument("--fixtures", choices=sorted(_FIXTURES),
-                        help="analyze a bundled dataset instead of --input")
     parser.add_argument("--output", help="write the report here instead of stdout")
 
 
+def _add_methods_option(parser) -> None:
+    # A string default, so that --methods all counts as given in a conflict check.
+    parser.add_argument("--methods", type=_parse_methods, default="all",
+                        help="comma list of mle,cmle,jeffreys,reference (or 'all')")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="plpcr",
         description="Inference and simulation for repairable systems with "
                     "competing risks under power-law failure intensities.")
@@ -213,17 +210,23 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="estimate parameters from a failure history")
     _add_input_options(fit)
     fit.add_argument("--model", choices=[m.value for m in Model], default="distinct")
-    fit.add_argument("--prior", choices=["reference", "jeffreys"], default=None,
-                     help="restrict the table to one Bayes method")
-    fit.add_argument("--methods", default=None,
-                     help="comma list of mle,cmle,jeffreys,reference (or 'all')")
-    fit.add_argument("--point", choices=[c.value for c in PointConvention], default="map",
-                     help="Bayes point rule for beta")
+    # Each alias shares its option's dest and group, so giving both is refused.
+    methods = fit.add_mutually_exclusive_group()
+    _add_methods_option(methods)
+    methods.add_argument("--prior", dest="methods", type=_parse_prior,
+                         metavar="{reference,jeffreys}",
+                         help="alias of --methods with one Bayes method")
+    point = fit.add_mutually_exclusive_group()
+    # A string default, so that an explicit --point map conflicts with --paper-compat.
+    point.add_argument("--point", type=PointConvention, default="map",
+                       metavar="{map,mean}",
+                       help="Bayes point rule for beta")
+    point.add_argument("--paper-compat", dest="point", action="store_const",
+                       const=PointConvention.MEAN,
+                       help="alias of --point mean, the convention that reproduces the "
+                            "published case-study table")
     fit.add_argument("--level", type=float, default=0.95)
     fit.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    fit.add_argument("--paper-compat", action="store_true",
-                     help="use the posterior-mean beta point, the convention that "
-                          "reproduces the published case-study table")
     fit.set_defaults(func=_cmd_fit)
 
     sim = sub.add_parser("simulate", help="run a replication study for a scenario")
@@ -232,10 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--replications", type=int, default=None)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--level", type=float, default=None)
-    sim.add_argument("--workers", type=int, default=1,
-                     help="accepted for compatibility; reports and run time do not depend on it")
-    sim.add_argument("--methods", default=None,
-                     help="comma list of mle,cmle,jeffreys,reference (or 'all')")
+    _add_methods_option(sim)
     sim.add_argument("--format", choices=["csv", "json"], default="csv")
     sim.add_argument("--output", help="write the report here instead of stdout")
     sim.set_defaults(func=_cmd_simulate)
@@ -260,8 +260,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except PlpcrError as exc:
         _error_record(type(exc).__name__, str(exc))

@@ -24,6 +24,30 @@ class FailureRecord:
     cause: int
 
 
+def _check_records(records, T: float, p: int, where=lambda i: f"record {i}") -> None:
+    """The record rule of a history: each record a FailureRecord whose time is
+    in (0, T), strictly above the one before, and whose cause is in 1..p.  A
+    fault names its record by `where` (the 1-based record index to a label)."""
+    previous = 0.0
+    for i, rec in enumerate(check_sequence(records, "records", ValidationError), start=1):
+        try:
+            time, cause = rec.time, rec.cause
+        except AttributeError:
+            raise ValidationError(f"{where(i)}: expected a FailureRecord, "
+                                  f"got {type(rec).__name__}") from None
+        # Exact classes first: a parsed record always passes this test, and
+        # only a record that fails it pays for the checks that name the fault.
+        if not (time.__class__ is float and cause.__class__ is int
+                and previous < time < T and 1 <= cause <= p):
+            check_real(time, f"{where(i)}: time", ValidationError, high=T)
+            check_whole(cause, f"{where(i)}: cause", ValidationError, high=p)
+            if time == previous:
+                raise ValidationError(f"{where(i)}: duplicate failure time {time!r}")
+            if time < previous:
+                raise ValidationError(f"{where(i)}: time {time!r} breaks ascending order")
+        previous = time
+
+
 @dataclass(frozen=True)
 class FailureHistory:
     """Ordered failure record of one system observed on (0, truncation_time].
@@ -40,25 +64,7 @@ class FailureHistory:
     def __post_init__(self) -> None:
         T = check_real(self.truncation_time, "truncation_time", ValidationError)
         p = check_whole(self.num_causes, "num_causes", ValidationError)
-        previous = 0.0
-        for i, rec in enumerate(check_sequence(self.records, "records", ValidationError),
-                                start=1):
-            try:
-                time, cause = rec.time, rec.cause
-            except AttributeError:
-                raise ValidationError(f"record {i}: expected a FailureRecord, "
-                                      f"got {type(rec).__name__}") from None
-            # Exact classes first: a parsed record always passes this test, and
-            # only a record that fails it pays for the checks that name the fault.
-            if not (time.__class__ is float and cause.__class__ is int
-                    and previous < time < T and 1 <= cause <= p):
-                check_real(time, f"record {i}: time", ValidationError, high=T)
-                check_whole(cause, f"record {i}: cause", ValidationError, high=p)
-                if time == previous:
-                    raise ValidationError(f"record {i}: duplicate failure time {time!r}")
-                if time < previous:
-                    raise ValidationError(f"record {i}: time {time!r} breaks ascending order")
-            previous = time
+        _check_records(self.records, T, p)
 
     @property
     def n(self) -> int:
@@ -106,9 +112,11 @@ def parse_history(text: str, truncation_time: float,
                   num_causes: int | None = None) -> FailureHistory:
     """Parse ``time,cause`` CSV text into a validated FailureHistory.
 
-    num_causes defaults to the largest cause label seen; pass it explicitly
-    to represent trailing causes with zero observed failures.  Malformed rows
-    raise ValidationError naming the offending line.
+    The text decides the comments, the header, two fields per row, a float
+    time and an integer cause; the records are then held to the one record
+    rule of FailureHistory, and a fault names its line.  num_causes defaults
+    to the largest cause label seen; pass it explicitly to represent trailing
+    causes with zero observed failures, and a label above it is refused.
     """
     if not isinstance(text, str):
         raise ValidationError(f"history text must be a str, got {type(text).__name__}")
@@ -121,6 +129,7 @@ def parse_history(text: str, truncation_time: float,
     except csv.Error as exc:  # e.g. a field beyond the csv module's size limit
         raise ValidationError(f"line {reader.line_num}: {exc}") from None
     records: list[FailureRecord] = []
+    line_nos: list[int] = []
     header_seen = False
     for line_no, row in enumerate(rows, start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -143,30 +152,18 @@ def parse_history(text: str, truncation_time: float,
             cause = int(cause_text)
         except ValueError:
             raise ValidationError(f"line {line_no}: non-integer cause {cause_text!r}") from None
-        if cause < 1:
-            raise ValidationError(f"line {line_no}: cause must be >= 1, got {cause}")
-        if not math.isfinite(time):
-            raise ValidationError(f"line {line_no}: time must be finite, got {time_text!r}")
-        if time <= 0.0:
-            raise ValidationError(f"line {line_no}: time must be positive, got {time_text!r}")
-        if time >= truncation_time:
-            raise ValidationError(
-                f"line {line_no}: time {time_text} is not below the truncation time {truncation_time}")
-        if records:
-            if time == records[-1].time:
-                raise ValidationError(f"line {line_no}: duplicate failure time {time_text}")
-            if time < records[-1].time:
-                raise ValidationError(f"line {line_no}: time {time_text} breaks ascending order")
         records.append(FailureRecord(time, cause))
+        line_nos.append(line_no)
     if not header_seen:
         raise ValidationError("missing header line 'time,cause'")
-    observed_max = max((r.cause for r in records), default=1)
-    if num_causes is None:
-        num_causes = observed_max
-    elif num_causes < observed_max:
-        raise ValidationError(
-            f"num_causes={num_causes} is below the largest observed cause label {observed_max}")
-    return FailureHistory(tuple(records), float(truncation_time), num_causes)
+    if num_causes is None:  # at least 1, so that a label of 0 is left to the record rule
+        num_causes = max([1, *(r.cause for r in records)])
+    try:
+        return FailureHistory(tuple(records), float(truncation_time), num_causes)
+    except ValidationError:
+        # The same rule again, on a refused history only, to name the line.
+        _check_records(records, truncation_time, num_causes, lambda i: f"line {line_nos[i - 1]}")
+        raise
 
 
 def serialize_history(history: FailureHistory) -> str:

@@ -20,7 +20,6 @@ and the method set; there is one execution path, whatever the worker count.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,23 +119,26 @@ def _number(key: str, value, integral: bool = False):
     if integral:
         if isinstance(value, float) and value.is_integer():
             value = int(value)
-        return check_whole(value, key, ValidationError, low=0)
-    return float(check_real(value, key, ValidationError, low=-math.inf))
+        return check_whole(value, key, low=0)
+    return float(check_real(value, key))
 
 
 def make_scenario(betas, alphas, T, replications=10_000, seed=42, level=0.95,
                   name=None) -> Scenario:
-    """Convenience constructor from parallel beta/alpha sequences; a value of
-    the wrong type, or a non-integral replication count or seed, is refused."""
-    check_sequence(betas, "beta", ValidationError)
-    check_sequence(alphas, "alpha", ValidationError)
-    if len(betas) != len(alphas):
-        raise DomainError("beta and alpha sequences must have equal length")
-    causes = tuple(PlpCauseParams(_number("beta", b), _number("alpha", a), j)
-                   for j, (b, a) in enumerate(zip(betas, alphas), start=1))
-    return Scenario(SystemParams(causes, _number("T", T)),
-                    _number("replications", replications, integral=True),
-                    _number("seed", seed, integral=True), _number("level", level), name)
+    """Convenience constructor from parallel beta/alpha sequences.  Every
+    fault, of type or of domain, is a ValidationError."""
+    try:
+        check_sequence(betas, "beta")
+        if len(check_sequence(alphas, "alpha")) != len(betas):
+            raise ValidationError(f"alpha must be as long as beta, got {len(alphas)} "
+                                  f"and {len(betas)} entries")
+        causes = tuple(PlpCauseParams(_number("beta", b), _number("alpha", a), j)
+                       for j, (b, a) in enumerate(zip(betas, alphas), start=1))
+        return Scenario(SystemParams(causes, _number("T", T)),
+                        _number("replications", replications, integral=True),
+                        _number("seed", seed, integral=True), _number("level", level), name)
+    except DomainError as exc:
+        raise ValidationError(str(exc)) from None
 
 
 #: The five study presets exercised throughout the package's reports.
@@ -247,8 +249,6 @@ def run_study(scenario: Scenario, methods: tuple[Method, ...] = ALL_METHODS,
     stays so that existing callers keep working.
     """
     methods = _as_methods(methods)
-    if not methods:
-        raise DomainError("at least one method is required")
     check_whole(workers, "workers")
     M = scenario.replications
     p = scenario.params.num_causes

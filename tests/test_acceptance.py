@@ -16,13 +16,18 @@ oracle, so an error in the log sums cannot hide inside the fitted window.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import plpcr
 from histories import simulate_history, stream
 from plpcr.cli import main
 from plpcr.data import _HARVESTER_ROWS, FailureHistory, cause_stats, harvester_fixture
@@ -254,15 +259,21 @@ def test_criterion_7_oracle_suite():
             assert ks < 0.01, (beta, ks)
 
 
-def test_criterion_8_determinism_across_workers(capsys):
-    with criterion(8, "simulate reports byte-identical across 1, 2, and 8 workers"):
+def test_criterion_8_determinism_across_processes(capsys):
+    # 70,000 replications span two random-stream blocks of 65,536.
+    argv = ["simulate", "--scenario", "scenario2", "--replications", "70000", "--seed", "13"]
+    with criterion(8, "simulate reports byte-identical across two fresh processes and "
+                      "in-process main, across a block boundary"):
+        env = {**os.environ, "PYTHONPATH": str(Path(plpcr.__file__).parents[1])}
         outputs = []
-        for workers in (1, 2, 8):
-            code = main(["simulate", "--scenario", "scenario2",
-                         "--replications", "4096", "--seed", "13",
-                         "--workers", str(workers)])
-            captured = capsys.readouterr()
-            assert code == 0
-            outputs.append(captured.out)
+        for _ in range(2):
+            done = subprocess.run([sys.executable, "-m", "plpcr", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert (done.returncode, done.stderr) == (0, "")
+            outputs.append(done.stdout)
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
         assert outputs[0] == outputs[1] == outputs[2]
-        assert "parameter,method,mre,mse,cp" in outputs[0]
+        assert "# used=" in outputs[0] and "parameter,method,mre,mse,cp" in outputs[0]

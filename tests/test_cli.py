@@ -184,7 +184,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("line", ['replications = "many"', "T = 'x'", "seed = 1.9",
                                       "replications = 3.7", "replications = True",
-                                      "seed = True", "beta = [True, 1.0]"])
+                                      "seed = True", "beta = [True, 1.0]",
+                                      "beta = [0.0, 1.0]", "T = 0", "level = 1.5",
+                                      "alpha = [6.45]"])
     def test_bad_scenario_value_errors(self, capsys, tmp_path, line):
         # The bad line replaces its key's line in an otherwise valid file.
         key, _, value = line.partition(" = ")
@@ -260,6 +262,58 @@ class TestSimulate:
         assert payload["used"] + payload["discarded"] == 256
         assert {row["method"] for row in payload["rows"]} == {
             "mle", "cmle", "jeffreys", "reference"}
+
+
+class TestCommandLine:
+    """The parser decides a command line once: aliases share their option's
+    destination, conflicting or malformed lines are refused, and every refusal
+    is one JSON error record with status 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--fixtures", "harvester", "--methods", "mle", "--prior", "reference"],
+        ["fit", "--fixtures", "harvester", "--point", "map", "--paper-compat"],
+        ["fit", "--fixtures", "harvester", "--truncation", "10"],
+        ["fit", "--fixtures", "harvester", "--num-causes", "4"],
+        ["fit", "--fixtures", "harvester", "--input", "h.csv"],
+        ["fit"],
+        ["duane", "--cause", "1"],
+        ["fit", "--fixtures", "harvester", "--level", "abc"],
+        ["fit", "--fixtures", "harvester", "--bogus"],
+        ["fit", "--fixtures", "harvester", "--prior", "mle"],
+        ["fit", "--fixtures", "harvester", "--point", "median"],
+        ["fit", "--fixtures", "harvester", "--methods", "bogus"],
+        ["fit", "--fixtures", "harvester", "--methods", " , "],
+        ["fit", "--input", "h.csv"],
+        ["simulate"],
+        ["simulate", "--scenario", "scenario1", "--workers", "2"],
+        ["simulate", "--scenario", "scenario99"],
+        ["frobnicate"],
+        [],
+    ], ids=" ".join)
+    def test_refused_command_line(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "h.csv").write_text("time,cause\n1.0,1\n", encoding="utf-8")
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert "usage:" not in err
+        (line_out,) = err.splitlines()
+        assert json.loads(line_out)["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize("alias, spelled_out", [
+        (["--prior", "reference"], ["--methods", "reference"]),
+        (["--prior", "jeffreys"], ["--methods", "jeffreys"]),
+        (["--paper-compat"], ["--point", "mean"]),
+    ])
+    def test_alias_matches_its_option(self, capsys, alias, spelled_out):
+        base = ["fit", "--fixtures", "harvester", "--format", "csv"]
+        assert _run(capsys, base + alias) == _run(capsys, base + spelled_out)
+
+    def test_simulate_help_lists_no_workers(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--scenario" in out and "--workers" not in out
 
 
 class TestParserReuse:

@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plpcr
 from plpcr.data import (
     FailureHistory,
     FailureRecord,
@@ -43,7 +46,7 @@ class TestParseHistory:
     def test_time_at_or_above_truncation_rejected(self):
         with pytest.raises(ValidationError, match="line 2"):
             parse_history(_csv([(300.0, 1)]), 254.0)
-        with pytest.raises(ValidationError, match="truncation"):
+        with pytest.raises(ValidationError, match=r"time must be a real in \(0\.0, 10\.0\)"):
             parse_history(_csv([(10.0, 1)]), 10.0)
 
     def test_unsorted_rejected_with_row(self):
@@ -61,10 +64,10 @@ class TestParseHistory:
             parse_history("time,cause\n1.0,1.5\n", 10.0)
 
     def test_nonpositive_time_rejected(self):
-        with pytest.raises(ValidationError, match="positive"):
+        with pytest.raises(ValidationError, match="line 2: time must be a real in"):
             parse_history(_csv([(-3.0, 1)]), 10.0)
         for text in ("1e400", "inf", "nan"):
-            with pytest.raises(ValidationError, match="line 2: time must be finite"):
+            with pytest.raises(ValidationError, match="line 2: time must be a real in"):
                 parse_history(f"time,cause\n{text},1\n", 10.0)
 
     def test_missing_header_rejected(self):
@@ -77,8 +80,41 @@ class TestParseHistory:
         assert cause_stats(history).counts == (1, 0, 0)
 
     def test_num_causes_override_below_observed(self):
-        with pytest.raises(ValidationError, match="num_causes"):
+        with pytest.raises(ValidationError, match=r"^line 2: cause must be an integer in 1\.\.1"):
             parse_history(_csv([(1.0, 2)]), 10.0, num_causes=1)
+
+    @pytest.mark.parametrize("row, num_causes, prefix", [
+        ("2.0,0", None, "line 5: cause must be an integer in 1..1, got 0"),
+        ("-2.0,0", 2, "line 5: time must be a real in (0.0, 10.0), got -2.0"),
+        ("4.0,3", 2, "line 5: cause must be an integer in 1..2, got 3"),
+        ("0.0,1", None, "line 5: time must be a real in (0.0, 10.0), got 0.0"),
+        ("-1.5,1", None, "line 5: time must be a real in (0.0, 10.0), got -1.5"),
+        ("inf,1", None, "line 5: time must be a real in (0.0, 10.0), got inf"),
+        ("nan,1", None, "line 5: time must be a real in (0.0, 10.0), got nan"),
+        ("1e400,1", None, "line 5: time must be a real in (0.0, 10.0), got inf"),
+        ("10.0,1", None, "line 5: time must be a real in (0.0, 10.0), got 10.0"),
+        ("12.5,1", None, "line 5: time must be a real in (0.0, 10.0), got 12.5"),
+        ("3.0,2", 2, "line 5: duplicate failure time 3.0"),
+        ("2.0,1", None, "line 5: time 2.0 breaks ascending order"),
+    ])
+    def test_record_fault_names_its_line(self, row, num_causes, prefix):
+        # The bad row is record 2 on line 5: a comment and a blank line make
+        # the two numbers differ, and a good row follows it.
+        text = f"# note\ntime,cause\n3.0,1\n\n{row}\n5.0,1\n"
+        with pytest.raises(ValidationError, match="^" + re.escape(prefix)):
+            parse_history(text, 10.0, num_causes)
+
+    def test_constructor_names_the_record(self):
+        # The same rule as parse_history's, naming the record index, not a line.
+        records = (FailureRecord(3.0, 1), FailureRecord(2.0, 1))
+        with pytest.raises(ValidationError, match="^record 2: time 2.0 breaks ascending order"):
+            FailureHistory(records, 10.0, 1)
+
+    def test_record_rule_is_spelled_once(self):
+        package = Path(plpcr.__file__).parent
+        source = "".join(p.read_text(encoding="utf-8") for p in package.glob("*.py"))
+        for phrase in ("breaks ascending order", "duplicate failure time"):
+            assert source.count(phrase) == 1, phrase
 
     def test_comments_ignored(self):
         text = "# provenance note\ntime,cause\n# interior note\n1.5,1\n"

@@ -180,6 +180,16 @@ def test_container_argument_refused(call, error, match):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: build_estimate_table(_STATS, methods=()), id="build_estimate_table"),
+    pytest.param(lambda: run_study(_SMALL, methods=[]), id="run_study"),
+])
+def test_empty_method_selection_refused(call):
+    # build_estimate_table once returned an empty table for no methods.
+    with pytest.raises(DomainError, match="^at least one method is required$"):
+        call()
+
+
 class TestCauseStats:
     def test_accepts_what_cause_stats_gives(self):
         stats = CauseStats((2, 0, 1), (0.5, 0.0, 1.25), 10.0)

@@ -130,7 +130,7 @@ class TestScenarios:
             parse_scenario("beta=[1.0]\nT=1.0\n")
         with pytest.raises(ValidationError, match="line"):
             parse_scenario("beta [1.0]\n")
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match="^alpha must be as long as beta, got 2 and 1"):
             parse_scenario("beta=[1.0]\nalpha=[2.0, 3.0]\nT=1.0\n")
 
     @pytest.mark.parametrize("rhs", ["[" + "-" * 3000 + "1]", "[" * 3000 + "]" * 3000,
