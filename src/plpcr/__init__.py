@@ -42,15 +42,6 @@ from .model import (
     cumulative_intensity,
     intensity,
 )
-from .montecarlo import (
-    McReport,
-    McRow,
-    PRESET_SCENARIOS,
-    Scenario,
-    make_scenario,
-    parse_scenario,
-    run_study,
-)
 from .numerics import (
     GammaParams,
     gamma_quantile,
@@ -59,3 +50,18 @@ from .numerics import (
 )
 
 __version__ = "0.1.0"
+
+# montecarlo, the one module that imports numpy, loads on first use of a name.
+_MONTECARLO_NAMES = ("McReport", "McRow", "PRESET_SCENARIOS", "Scenario", "make_scenario",
+                     "parse_scenario", "run_study")
+
+
+def __getattr__(name: str):
+    if name in _MONTECARLO_NAMES:
+        from . import montecarlo
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MONTECARLO_NAMES})

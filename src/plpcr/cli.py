@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .data import cause_stats, harvester_fixture, parse_history, serialize_history
 from .diagnostics import duane_csv, duane_points
-from .errors import PlpcrError, ValidationError
+from .errors import DiagnosticError, PlpcrError, ValidationError, check_real, check_whole
 from .inference import (
     ALL_METHODS,
     EstimateTable,
@@ -25,7 +25,6 @@ from .inference import (
     PointConvention,
     build_estimate_table,
 )
-from .montecarlo import PRESET_SCENARIOS, Scenario, parse_scenario, run_study
 
 _FIXTURES = {"harvester": harvester_fixture}
 
@@ -128,6 +127,16 @@ def _parse_prior(text: str) -> tuple[Method, ...]:
     return (Method(text),)
 
 
+def _number(parse, **bounds):
+    """An argparse type: the text read by `parse` (int or float), held to the
+    package's number rule within `bounds`; argparse names the option."""
+    check = check_whole if parse is int else check_real
+    def convert(text: str):
+        return check(parse(text), "value", argparse.ArgumentTypeError, **bounds)
+    convert.__name__ = parse.__name__  # argparse's "invalid int value: '1e4'"
+    return convert
+
+
 def _cmd_fit(args) -> int:
     table = build_estimate_table(cause_stats(_load_history(args)), methods=args.methods,
                                  model=args.model, level=args.level, convention=args.point)
@@ -137,7 +146,9 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _resolve_scenario(args) -> Scenario:
+def _cmd_simulate(args) -> int:
+    from .montecarlo import PRESET_SCENARIOS, parse_scenario, run_study  # numpy loads here
+
     label = args.scenario
     if label in PRESET_SCENARIOS:
         base = PRESET_SCENARIOS[label]
@@ -148,11 +159,8 @@ def _resolve_scenario(args) -> Scenario:
                                   f"({', '.join(PRESET_SCENARIOS)}) nor a file")
         base = parse_scenario(_read_text(path), name=path.stem)
     given = {"replications": args.replications, "master_seed": args.seed, "level": args.level}
-    return dataclasses.replace(base, **{k: v for k, v in given.items() if v is not None})
-
-
-def _cmd_simulate(args) -> int:
-    report = run_study(_resolve_scenario(args), methods=args.methods)
+    scenario = dataclasses.replace(base, **{k: v for k, v in given.items() if v is not None})
+    report = run_study(scenario, methods=args.methods)
     _emit(report.to_json() if args.format == "json" else report.to_csv(), args.output)
     return 0
 
@@ -165,7 +173,7 @@ def _cmd_duane(args) -> int:
         series = [duane_points(history, j) for j in range(1, history.num_causes + 1)
                   if history.times_for_cause(j)]
         if not series:
-            raise PlpcrError("no failures observed; no Duane points to emit")
+            raise DiagnosticError("no failures observed; no Duane points to emit")
     _emit(duane_csv(series), args.output)
     return 0
 
@@ -225,16 +233,17 @@ def build_parser() -> argparse.ArgumentParser:
                        const=PointConvention.MEAN,
                        help="alias of --point mean, the convention that reproduces the "
                             "published case-study table")
-    fit.add_argument("--level", type=float, default=0.95)
+    fit.add_argument("--level", type=_number(float, high=1.0), default=0.95)
     fit.add_argument("--format", choices=["table", "csv", "json"], default="table")
     fit.set_defaults(func=_cmd_fit)
 
     sim = sub.add_parser("simulate", help="run a replication study for a scenario")
     sim.add_argument("--scenario", required=True,
                      help="preset name (scenario1..scenario5) or scenario file path")
-    sim.add_argument("--replications", type=int, default=None)
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--level", type=float, default=None)
+    sim.add_argument("--replications", type=_number(int), default=None)
+    # The range of the study's stream key, as Scenario checks it.
+    sim.add_argument("--seed", type=_number(int, low=0, high=2**64 - 1), default=None)
+    sim.add_argument("--level", type=_number(float, high=1.0), default=None)
     _add_methods_option(sim)
     sim.add_argument("--format", choices=["csv", "json"], default="csv")
     sim.add_argument("--output", help="write the report here instead of stdout")

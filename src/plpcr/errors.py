@@ -52,7 +52,7 @@ class StudyError(PlpcrError, RuntimeError):
     """A replication study produced no usable replications."""
 
 
-def check_real(value, name: str, error: type[PlpcrError] = DomainError, *,
+def check_real(value, name: str, error: type[Exception] = DomainError, *,
                low: float = 0.0, high: float = math.inf, closed: bool = False):
     """`value` if it is an int or float, not a bool, with low < value < high
     (low <= value when `closed`); otherwise raise `error` naming `name`."""
@@ -67,7 +67,7 @@ def check_real(value, name: str, error: type[PlpcrError] = DomainError, *,
     raise error(f"{name} must be {wanted}, got {value!r}")
 
 
-def check_whole(value, name: str, error: type[PlpcrError] = DomainError, *,
+def check_whole(value, name: str, error: type[Exception] = DomainError, *,
                 low: int = 1, high: int | None = None):
     """`value` if it is an int, not a bool, with low <= value (<= high when
     given); otherwise raise `error` naming `name`."""
@@ -79,7 +79,7 @@ def check_whole(value, name: str, error: type[PlpcrError] = DomainError, *,
     raise error(f"{name} must be {wanted}, got {value!r}")
 
 
-def check_sequence(value, name: str, error: type[PlpcrError] = DomainError):
+def check_sequence(value, name: str, error: type[Exception] = DomainError):
     """`value` if it is a list or a tuple; otherwise raise `error` naming `name`
     and the type (not the value, which may be large)."""
     if isinstance(value, (list, tuple)):

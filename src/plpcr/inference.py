@@ -20,19 +20,17 @@ Each rule is decided once: ``Method`` names the two priors, whose only
 difference is the alpha shape offset in ``_ALPHA_SHAPE_OFFSET``, and every
 public entry accepts a ``Model``, ``Method`` or ``PointConvention`` member or
 its value, refusing any other value with a DomainError.  Every cell of an
-estimate table or a replication study comes from the same two elementwise
-cell builders over arrays of counts and log sums: a study reaches them
-through the kernel ``fit``, a table directly, with the pooled beta of the
-shared-shape model as a one-element array.
+estimate table or a replication study comes from the kernel ``fit``, plain
+``math`` over lists of counts and log sums (the pooled beta of the
+shared-shape model is a one-entry fit), so fitting never imports numpy.
 """
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
-
-import numpy as np
 
 from .data import CauseStats, FailureHistory, cause_stats
 from .errors import (
@@ -156,68 +154,71 @@ def log_likelihood(params: SystemParams, history: FailureHistory) -> float:
 
 
 class Cells(NamedTuple):
-    """Estimate cells of one parameter family, one entry per input element."""
+    """Estimate cells of one parameter family, one entry per input entry."""
 
-    point: np.ndarray
-    sd: np.ndarray
-    sd_paper_compat: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
+    point: tuple[float, ...]
+    sd: tuple[float, ...]
+    sd_paper_compat: tuple[float, ...]
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
 
 
-def _std_quantiles(shapes: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
-    """Equal-tail quantiles of the unit-rate gammas of `shapes`, one cached
-    lookup per element and tail; a study passes one element per distinct count."""
-    flat = shapes.ravel().tolist()
-    return tuple(np.array([_std_gamma_quantile(a, q) for a in flat]).reshape(shapes.shape)
+def _std_quantiles(shapes: tuple[float, ...], level: float) -> tuple[tuple[float, ...], ...]:
+    """Equal-tail quantiles of the unit-rate gammas of `shapes`, one cached lookup each."""
+    return tuple(tuple([_std_gamma_quantile(a, q) for a in shapes])
                  for q in ((1.0 - level) / 2.0, (1.0 + level) / 2.0))
 
 
-def _wald(point: np.ndarray, sd: np.ndarray, level: float) -> Cells:
+def _wald(point: tuple[float, ...], sd: tuple[float, ...], level: float) -> Cells:
     z = normal_quantile((1.0 + level) / 2.0)
-    return Cells(point, sd, sd, point - z * sd, point + z * sd)
+    return Cells(point, sd, sd, tuple([x - z * e for x, e in zip(point, sd)]),
+                 tuple([x + z * e for x, e in zip(point, sd)]))
 
 
-def _input_fault(n: np.ndarray, s: np.ndarray) -> str | None:
-    """What is wrong with the counts and log sums, if anything: their shapes and
-    the index and value of the first bad entry, never the whole arrays."""
-    if n.shape != s.shape:
-        return f"counts of shape {n.shape} and log sums of shape {s.shape} differ in shape"
-    for name, values, ok in (("count", n, (n >= 1.0) & (n < math.inf) & (n == np.floor(n))),
-                             ("log sum", s, (s > 0.0) & (s < math.inf))):
-        if not ok.all():
-            at = tuple(int(i) for i in np.unravel_index(np.argmin(ok), ok.shape))
-            return ("counts must be whole numbers >= 1 and log sums positive and finite; in "
-                    f"arrays of shape {n.shape}, the {name} at index {at} is {values[at].item()!r}")
+def _input_fault(counts, log_sums) -> str | None:
+    """What is wrong with the counts and log sums, if anything: their lengths
+    or the index and value of the first bad entry, never the whole input."""
+    if len(counts) != len(log_sums):
+        return f"{len(counts)} counts and {len(log_sums)} log sums differ in length"
+    for name, values, ok in (("count", counts, lambda x: x >= 1.0 and x.is_integer()),
+                             ("log sum", log_sums, lambda x: 0.0 < x < math.inf)):
+        for i, value in enumerate(values):
+            try:
+                if ok(float(value)):
+                    continue
+            except (TypeError, ValueError, OverflowError):
+                pass
+            return ("counts must be whole numbers >= 1 and log sums positive and finite; "
+                    f"of {len(counts)} entries, the {name} at index {i} is {reprlib.repr(value)}")
     return None
 
 
-def _beta_cells(method: Method, n: np.ndarray, s: np.ndarray, level: float,
+def _beta_cells(method: Method, n: tuple[float, ...], s: tuple[float, ...], level: float,
                 convention: PointConvention) -> Cells:
-    fault = _input_fault(n, s)
-    if fault:
-        raise DomainError(fault)
-    if method is Method.MLE or method is Method.CMLE:
-        point = (n if method is Method.MLE else n - 1.0) / s
-        return _wald(point, point / np.sqrt(n), level)
-    # The beta marginal Gamma(n, S); its mode (n - 1) / S is 0 at n = 1.
-    point = (n - 1.0 if convention is PointConvention.MAP else n) / s
-    sd = np.sqrt(n) / s
+    # The cmle point and the mode of the beta marginal Gamma(n, S): (n - 1) / S, 0 at n = 1.
+    bayes = method in _ALPHA_SHAPE_OFFSET
+    shift = 1.0 if method is Method.CMLE or (bayes and convention is PointConvention.MAP) else 0.0
+    point = tuple([(x - shift) / y for x, y in zip(n, s)])
+    if not bayes:
+        return _wald(point, tuple([b / math.sqrt(x) for b, x in zip(point, n)]), level)
+    sd = tuple([math.sqrt(x) / y for x, y in zip(n, s)])
     lo, hi = _std_quantiles(n, level)
-    return Cells(point, sd, sd, lo / s, hi / s)
+    return Cells(point, sd, sd, tuple([q / y for q, y in zip(lo, s)]),
+                 tuple([q / y for q, y in zip(hi, s)]))
 
 
-def _alpha_cells(method: Method, n: np.ndarray, level: float) -> Cells:
+def _alpha_cells(method: Method, n: tuple[float, ...], level: float) -> Cells:
+    root = tuple(map(math.sqrt, n))
     if method is Method.MLE or method is Method.CMLE:
-        return _wald(n, np.sqrt(n), level)
-    shape = n + _ALPHA_SHAPE_OFFSET[method]
-    return Cells(n, np.sqrt(shape), np.sqrt(n), *_std_quantiles(shape, level))
+        return _wald(n, root, level)
+    shape = tuple([x + _ALPHA_SHAPE_OFFSET[method] for x in n])
+    return Cells(n, tuple(map(math.sqrt, shape)), root, *_std_quantiles(shape, level))
 
 
 def fit(method: Method, counts, log_sums, level: float,
         convention: PointConvention = PointConvention.MAP) -> tuple[Cells, Cells]:
-    """The fitting kernel: (beta cells, alpha cells) of one method, elementwise
-    over equal-shape arrays of counts n >= 1 and positive log sums S.
+    """The fitting kernel: (beta cells, alpha cells) of one method, entry by
+    entry over lists or tuples of counts n >= 1 and log sums S > 0.
 
     mle/cmle: points n/S or (n-1)/S and n, Wald intervals with se point/sqrt(n)
     and sqrt(n), not truncated at 0.  jeffreys/reference: equal-tail credible
@@ -226,10 +227,16 @@ def fit(method: Method, counts, log_sums, level: float,
     """
     method, convention = _as(Method, method), _as(PointConvention, convention)
     check_real(level, "level", high=1.0)
+    check_sequence(counts, "counts")
+    check_sequence(log_sums, "log sums")
     try:
-        n, s = np.asarray(counts, dtype=float), np.asarray(log_sums, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"counts and log sums must be numeric arrays: {exc}") from None
+        n, s = tuple(map(float, counts)), tuple(map(float, log_sums))
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(_input_fault(counts, log_sums)) from None
+    # One pass per sequence; NaN and the infinities fail is_integer and isfinite.
+    if not (len(n) == len(s) and all(map(float.is_integer, n)) and all(map(math.isfinite, s))
+            and min(n, default=1.0) >= 1.0 and min(s, default=1.0) > 0.0):
+        raise DomainError(_input_fault(counts, log_sums))
     return _beta_cells(method, n, s, level, convention), _alpha_cells(method, n, level)
 
 
@@ -275,20 +282,12 @@ def build_estimate_table(stats: CauseStats,
                             for j in usable if j not in keep)
         if not keep:
             continue
-        counts = np.array([stats.counts[j - 1] for j in keep], dtype=float)
+        beta, alpha = fit(method, [stats.counts[j - 1] for j in keep],
+                          [stats.log_sums[j - 1] for j in keep], level, convention)
         if pooled:
-            beta_names = ["beta"]
-            beta = _beta_cells(method, np.array([float(stats.n)]),
-                               np.array([stats.log_sum_total]), level, convention)
-        else:
-            beta_names = [f"beta_{j}" for j in keep]
-            beta = _beta_cells(method, counts, np.array([stats.log_sums[j - 1] for j in keep]),
-                               level, convention)
-        alpha = _alpha_cells(method, counts, level)
-        for family_names, family in ((beta_names, beta), ([f"alpha_{j}" for j in keep], alpha)):
-            # tolist() gives Python floats, whose repr the csv rendering relies on.
-            for name, row in zip(family_names, zip(*(c.tolist() for c in family))):
-                cells[name, method] = row
+            beta = fit(method, [stats.n], [stats.log_sum_total], level, convention)[0]
+        names = (["beta"] if pooled else [f"beta_{j}" for j in keep]) + [f"alpha_{j}" for j in keep]
+        cells.update(((name, method), row) for name, row in zip(names, [*zip(*beta), *zip(*alpha)]))
     if convention is PointConvention.MAP and any(m in _ALPHA_SHAPE_OFFSET for _, m in cells):
         if pooled:
             single = ["beta"] if stats.n == 1 else []

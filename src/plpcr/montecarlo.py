@@ -223,19 +223,25 @@ def _draw_block(scenario: Scenario, block: int, size: int) -> tuple[np.ndarray, 
 def _block_sums(scenario: Scenario, methods: tuple[Method, ...],
                 counts: np.ndarray, log_sums: np.ndarray) -> np.ndarray:
     """Sums over rows of theta_hat/theta, (theta_hat - theta)^2 and coverage
-    hits, shaped (3, methods, parameters), from one fit per distinct count."""
+    hits, shaped (3, methods, parameters), from one fit per distinct count;
+    methods with equal points (cmle and map beta, every alpha) share sums."""
     truth = np.array(_true_vector(scenario.params))
     sums = np.empty((3, len(methods), truth.size))
     grid, index = np.unique(counts, return_inverse=True)
     index = index.reshape(counts.shape)  # the inverse's shape differs across numpy 2.x
+    grid, unit, point_sums = grid.tolist(), [1.0] * grid.size, {}
     for m, method in enumerate(methods):
-        beta, alpha = fit(method, grid, np.ones(grid.size), scenario.level)
-        point = np.hstack((beta.point[index] / log_sums, alpha.point[index]))
-        lo = np.hstack((beta.lo[index] / log_sums, alpha.lo[index]))
-        hi = np.hstack((beta.hi[index] / log_sums, alpha.hi[index]))
-        sums[0, m] = np.sum(point / truth, axis=0)
-        sums[1, m] = np.sum((point - truth) ** 2, axis=0)
+        beta, alpha = fit(method, grid, unit, scenario.level)
+        # On demand, per replication: the beta cells scaled by 1/S_j, the alpha cells.
+        rows = (np.hstack((np.array(b)[index] / log_sums, np.array(a)[index]))
+                for b, a in ((beta.lo, alpha.lo), (beta.hi, alpha.hi), (beta.point, alpha.point)))
+        lo, hi = next(rows), next(rows)
         sums[2, m] = np.sum((lo <= truth) & (truth <= hi), axis=0)
+        if (beta.point, alpha.point) not in point_sums:
+            point = next(rows)
+            point_sums[beta.point, alpha.point] = (np.sum(point / truth, axis=0),
+                                                   np.sum((point - truth) ** 2, axis=0))
+        sums[0, m], sums[1, m] = point_sums[beta.point, alpha.point]
     return sums
 
 

@@ -222,7 +222,7 @@ def test_criterion_7_oracle_suite():
         # Log-likelihood gradient vanishes at the MLE (central differences).
         history = harvester_fixture()
         stats = cause_stats(history)
-        mle_beta, mle_alpha = (cells.point.tolist()
+        mle_beta, mle_alpha = (list(cells.point)
                                for cells in fit(Method.MLE, stats.counts, stats.log_sums, 0.95))
         h = 1e-6
 

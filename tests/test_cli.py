@@ -287,6 +287,10 @@ class TestCommandLine:
         ["simulate"],
         ["simulate", "--scenario", "scenario1", "--workers", "2"],
         ["simulate", "--scenario", "scenario99"],
+        ["simulate", "--scenario", "scenario1", "--replications", "0"],
+        ["simulate", "--scenario", "scenario1", "--seed", "-1"],
+        ["simulate", "--scenario", "scenario1", "--level", "1.5"],
+        ["fit", "--fixtures", "harvester", "--level", "1.5"],
         ["frobnicate"],
         [],
     ], ids=" ".join)
@@ -298,6 +302,31 @@ class TestCommandLine:
         assert "usage:" not in err
         (line_out,) = err.splitlines()
         assert json.loads(line_out)["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--replications", "0"], "argument --replications: value must be a "
+                                             "positive integer, got 0"),
+        (["simulate", "--seed", "-1"], "argument --seed: value must be an integer in "
+                                       "0..18446744073709551615, got -1"),
+        (["simulate", "--seed", str(2**64)], "argument --seed: value must be an integer in "
+                                             "0..18446744073709551615, got 18446744073709551616"),
+        (["simulate", "--level", "1.5"], "argument --level: value must be a real in "
+                                         "(0.0, 1.0), got 1.5"),
+        (["simulate", "--level", "nan"], "argument --level: value must be a real in "
+                                         "(0.0, 1.0), got nan"),
+        (["simulate", "--replications", "1e4"], "argument --replications: invalid int value: "
+                                                "'1e4'"),
+        (["fit", "--fixtures", "harvester", "--level", "0"], "argument --level: value must be a "
+                                                             "real in (0.0, 1.0), got 0.0"),
+    ], ids=" ".join)
+    def test_number_option_refusal_names_the_flag(self, capsys, argv, message):
+        # The parser holds each number option to the package's number rule, so a
+        # fault is a usage fault that names the flag, not a model-level DomainError.
+        if argv[0] == "simulate":
+            argv = argv + ["--scenario", "scenario1"]
+        code, _, err = _run(capsys, argv)
+        assert code == 1
+        assert json.loads(err)["error"] == {"type": "ValidationError", "message": message}
 
     @pytest.mark.parametrize("alias, spelled_out", [
         (["--prior", "reference"], ["--methods", "reference"]),
@@ -352,6 +381,14 @@ class TestDuane:
         code, out, _ = _run(capsys, ["duane", "--fixtures", "harvester"])
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + 48
+
+    def test_no_failures_is_a_diagnostic_error(self, capsys, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("time,cause\n", encoding="utf-8")
+        code, out, err = _run(capsys, ["duane", "--input", str(path), "--truncation", "10"])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == {
+            "type": "DiagnosticError", "message": "no failures observed; no Duane points to emit"}
 
 
 class TestFixtures:

@@ -7,6 +7,7 @@ import dataclasses
 import itertools
 import math
 import re
+import reprlib
 
 import numpy as np
 import pytest
@@ -82,7 +83,7 @@ class TestMleDistinct:
         stats = cause_stats(_history([(T / E, 1)], T))
         beta, alpha = _cells(stats, Method.MLE)
         assert abs(beta.point[0] - 1.0) < 1e-14
-        assert alpha.point.tolist() == [1.0]
+        assert alpha.point == (1.0,)
 
     def test_two_records(self):
         T = 7.0
@@ -94,12 +95,12 @@ class TestMleDistinct:
     def test_harvester(self):
         beta, alpha = _cells(_harvester_stats(), Method.MLE)
         np.testing.assert_allclose(beta.point, HARVESTER_BETA_HAT, rtol=1e-12)
-        assert alpha.point.tolist() == [10.0, 24.0, 14.0]
+        assert alpha.point == (10.0, 24.0, 14.0)
 
     def test_requires_failures_everywhere(self):
         # The kernel refuses a cause without failures; the table leaves it out.
         stats = cause_stats(_history([(1.0, 1)], 10.0, p=2))
-        with pytest.raises(DomainError, match=r"the count at index \(1,\) is 0.0"):
+        with pytest.raises(DomainError, match=r"the count at index 1 is 0$"):
             _cells(stats, Method.MLE)
         table = build_estimate_table(stats, (Method.MLE,))
         assert [r.parameter for r in table.rows] == ["beta_1", "alpha_1"]
@@ -149,8 +150,8 @@ class TestCmle:
 
     def test_equals_reference_map(self):
         stats = _harvester_stats()
-        corrected = _cells(stats, Method.CMLE)[0].point.tolist()
-        assert corrected == _cells(stats, Method.REFERENCE)[0].point.tolist()
+        corrected = _cells(stats, Method.CMLE)[0].point
+        assert corrected == _cells(stats, Method.REFERENCE)[0].point
         for b, n, bhat in zip(corrected, stats.counts, HARVESTER_BETA_HAT):
             assert abs(b - (n - 1) / n * bhat) < 1e-12
 
@@ -158,7 +159,7 @@ class TestCmle:
         # At n = 1 the corrected point (n - 1) / S is 0, so the table leaves
         # the cause out of the cmle rows and says why.
         stats = cause_stats(_history([(1.0, 1), (2.0, 2), (3.0, 2)], 10.0))
-        assert _cells(stats, Method.CMLE)[0].point.tolist()[0] == 0.0
+        assert _cells(stats, Method.CMLE)[0].point[0] == 0.0
         table = build_estimate_table(stats, (Method.CMLE,))
         assert [r.parameter for r in table.rows] == ["beta_2", "alpha_2"]
         assert table.warnings == ("cause 1: single failure; bias-corrected estimate "
@@ -190,7 +191,7 @@ class TestPosteriors:
         stats = _harvester_stats()
         ref_beta, ref_alpha = _cells(stats, Method.REFERENCE)
         jef_beta, jef_alpha = _cells(stats, Method.JEFFREYS)
-        assert [c.tolist() for c in jef_beta] == [c.tolist() for c in ref_beta]
+        assert jef_beta == ref_beta
         for n, j_sd, r_sd, lo in zip(stats.counts, jef_alpha.sd, ref_alpha.sd, jef_alpha.lo):
             assert abs(j_sd**2 - r_sd**2 - 0.5) < 1e-12
             assert lo == gamma_quantile(GammaParams(n + 1.0, 1.0), _TAILS[0])
@@ -268,7 +269,7 @@ class TestBayesPoints:
     def test_alpha_points_are_counts(self):
         for method, convention in itertools.product(ALL_METHODS, PointConvention):
             alpha = _cells(_harvester_stats(), method, convention=convention)[1]
-            assert alpha.point.tolist() == [10.0, 24.0, 14.0]
+            assert alpha.point == (10.0, 24.0, 14.0)
 
     def test_mean_convention(self):
         stats = _harvester_stats()
@@ -279,7 +280,7 @@ class TestBayesPoints:
     def test_degenerate_map_at_single_failure(self):
         T = 7.0
         stats = cause_stats(_history([(T / E, 1)], T))
-        assert _cells(stats, Method.REFERENCE)[0].point.tolist() == [0.0]
+        assert _cells(stats, Method.REFERENCE)[0].point == (0.0,)
         warnings = build_estimate_table(stats, (Method.REFERENCE,)).warnings
         assert warnings == ("cause 1: single failure; the MAP beta point is 0 (posterior mode "
                             "at the boundary); use --point mean for the posterior mean",)
@@ -432,7 +433,7 @@ class TestFitKernel:
         counts = tuple(n for n, _ in causes)
         log_sums = tuple(s for _, s in causes)
         for method in ALL_METHODS:
-            got = [list(zip(*(c.tolist() for c in family)))
+            got = [list(zip(*family))
                    for family in fit(method, counts, log_sums, level, convention)]
             want = [scalar_cells(method, n, s, level, convention) for n, s in causes]
             assert got == [[beta for beta, _ in want], [alpha for _, alpha in want]]
@@ -465,19 +466,17 @@ class TestFitKernel:
         assert got == want
 
     def test_elementwise_over_replications(self):
-        # A (replications, causes) block gives the cells of each row alone,
-        # for a small block and for a larger seeded one with repeated counts.
+        # A long input gives the cells of each entry alone, for a short input
+        # and for a larger seeded one with repeated counts.
         rng = np.random.default_rng(8)
-        blocks = [(np.array([[2, 5], [7, 3], [2, 2]]),
-                   np.array([[0.5, 4.0], [3.5, 1.25], [9.0, 0.1]])),
-                  (rng.poisson(6.0, (150, 2)) + 1, rng.gamma(5.0, 1.0, (150, 2)))]
-        for (counts, log_sums), method in itertools.product(blocks, ALL_METHODS):
-            block = fit(method, counts, log_sums, 0.9)
-            for r in range(counts.shape[0]):
-                single = fit(method, counts[r], log_sums[r], 0.9)
-                for whole, part in zip(block, single):
-                    for a, b in zip(whole, part):
-                        assert a[r].tolist() == b.tolist()
+        inputs = [([2, 5, 7, 3, 2, 2], [0.5, 4.0, 3.5, 1.25, 9.0, 0.1]),
+                  ((rng.poisson(6.0, 300) + 1).tolist(), rng.gamma(5.0, 1.0, 300).tolist())]
+        for (counts, log_sums), method in itertools.product(inputs, ALL_METHODS):
+            whole = fit(method, counts, log_sums, 0.9)
+            for i, (n, s) in enumerate(zip(counts, log_sums)):
+                single = fit(method, [n], [s], 0.9)
+                assert [[c[i] for c in family] for family in whole] == [
+                    [c[0] for c in family] for family in single]
 
     @pytest.mark.parametrize("log_sum", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_nonpositive_log_sum(self, log_sum):
@@ -504,9 +503,9 @@ class TestFitKernel:
         for method, convention in itertools.product(ALL_METHODS, PointConvention):
             spelled = fit(method.value, (3, 7), (1.5, 4.0), 0.9, convention.value)
             for got, want in zip(spelled, fit(method, (3, 7), (1.5, 4.0), 0.9, convention)):
-                assert [c.tolist() for c in got] == [c.tolist() for c in want]
-        assert fit("reference", [3], [1.0], 0.95, "map")[0].point.tolist() == [2.0]
-        assert fit("reference", [3], [1.0], 0.95, "mean")[0].point.tolist() == [3.0]
+                assert got == want
+        assert fit("reference", [3], [1.0], 0.95, "map")[0].point == (2.0,)
+        assert fit("reference", [3], [1.0], 0.95, "mean")[0].point == (3.0,)
         assert alpha_laws_from_counts((3,), "reference") == (GammaParams(3.5, 1.0),)
         assert alpha_laws_from_counts((3,), "jeffreys") == (GammaParams(4.0, 1.0),)
         # An unknown value is refused with the valid ones listed.
@@ -528,35 +527,39 @@ class TestFitKernel:
             fit(Method.REFERENCE, (0,), (1.0,), 0.95)
         with pytest.raises(DomainError):
             fit(Method.MLE, (2,), (1.0,), 1.0)
-        # Counts must be finite whole numbers, the same shape as the log sums,
-        # and both numeric; each is refused for every method.
+        # Counts and log sums must be lists or tuples of numbers of one length,
+        # the counts finite whole numbers; each fault is refused for every method.
         for counts, log_sums in (([2.5], [1.0]), ([math.inf], [1.0]), ([math.nan], [1.0]),
                                  ([1, 2], [1.0]), ([[2, 3]], [1.0, 2.0]), (["a"], [1.0]),
-                                 ([2], ["a"]), ([[2], [3, 4]], [1.0])):
+                                 ([2], ["a"]), ([[2], [3, 4]], [1.0]), ([10**400], [1.0]),
+                                 (np.array([2, 3]), [1.0, 2.0]), ("23", [1.0, 2.0])):
             for method in ALL_METHODS:
                 with pytest.raises(DomainError):
                     fit(method, counts, log_sums, 0.95)
 
     def test_fault_message_names_the_entry(self):
-        # One bad entry in a study-sized block: the message gives the shapes and
-        # the first bad entry's index and value, not the arrays.
-        counts, log_sums = np.full((65_536, 2), 3.0), np.ones((65_536, 2))
-        counts[388, 1], log_sums[700, 0] = 2.5, math.nan
+        # One bad entry in a study-sized input: the message gives the length and
+        # the first bad entry's index and value, not the whole input.
+        counts, log_sums = [3.0] * 131_072, [1.0] * 131_072
+        counts[777], log_sums[1400] = 2.5, math.nan
         for method in ALL_METHODS:
             with pytest.raises(DomainError) as caught:
                 fit(method, counts, log_sums, 0.95)
             message = str(caught.value)
-            assert "shape (65536, 2)" in message and "count at index (388, 1) is 2.5" in message
+            assert "of 131072 entries" in message and "count at index 777 is 2.5" in message
             assert len(message) < 200
-        counts[388, 1] = 3.0
-        with pytest.raises(DomainError, match=r"log sum at index \(700, 0\) is nan"):
+        counts[777] = 3.0
+        with pytest.raises(DomainError, match=r"log sum at index 1400 is nan"):
             fit(Method.MLE, counts, log_sums, 0.95)
-        with pytest.raises(DomainError, match=r"^counts of shape \(65536, 2\) and log sums of "
-                                              r"shape \(65536,\) differ in shape$"):
-            fit(Method.MLE, counts, log_sums[:, 0], 0.95)
-        with pytest.raises(DomainError) as caught:
-            fit(Method.MLE, ["a"] * 65_536, [1.0] * 65_536, 0.95)
-        assert len(str(caught.value)) < 200
+        with pytest.raises(DomainError, match=r"^131072 counts and 65536 log sums differ "
+                                              r"in length$"):
+            fit(Method.MLE, counts, log_sums[:65_536], 0.95)
+        # An entry that is not a number is named by its index and a shortened repr.
+        for bad in ("a", "a" * 131_072, 10**400, [2, 3]):
+            with pytest.raises(DomainError, match=r"of 131072 entries, the count at index 5 is "
+                                                  + re.escape(reprlib.repr(bad))) as caught:
+                fit(Method.MLE, [2] * 5 + [bad] * 131_067, [1.0] * 131_072, 0.95)
+            assert len(str(caught.value)) < 200
 
 
 class TestLogLikelihood:
@@ -589,7 +592,7 @@ class TestLogLikelihood:
     def test_maximized_at_mle(self):
         history = harvester_fixture()
         stats = cause_stats(history)
-        beta, alpha = (cells.point.tolist() for cells in _cells(stats, Method.MLE))
+        beta, alpha = (list(cells.point) for cells in _cells(stats, Method.MLE))
         at_mle = log_likelihood(_params_from(beta, alpha, stats.truncation_time), history)
         for db in (-0.01, 0.01):
             for da in (-0.1, 0.1):
@@ -600,7 +603,7 @@ class TestLogLikelihood:
     def test_gradient_zero_at_mle(self):
         history = harvester_fixture()
         stats = cause_stats(history)
-        mle = [cells.point.tolist() for cells in _cells(stats, Method.MLE)]
+        mle = [cells.point for cells in _cells(stats, Method.MLE)]
         h = 1e-6
         for j in range(3):
             for family, step in ((0, h), (1, 10 * h)):

@@ -340,7 +340,7 @@ class TestEngine:
             return counts, log_sums, discarded
 
         def recording_quantiles(shapes, level):
-            sizes.append(shapes.size)
+            sizes.append(len(shapes))
             return std_quantiles(shapes, level)
 
         monkeypatch.setattr(montecarlo, "_draw_block", recording_draw)
