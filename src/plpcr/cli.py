@@ -8,7 +8,6 @@ precision and contain identical values.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -19,6 +18,7 @@ from .diagnostics import duane_csv, duane_points
 from .errors import DiagnosticError, PlpcrError, ValidationError, check_real, check_whole
 from .inference import (
     ALL_METHODS,
+    EstimateRow,
     EstimateTable,
     Method,
     Model,
@@ -66,42 +66,26 @@ def _load_history(args):
 
 
 def _table_text(table: EstimateTable, digits: int = 3) -> str:
-    header = ("parameter", "method", "point", "sd", "sd_paper_compat", "ci_lo", "ci_hi", "level")
-    body = [
-        (r.parameter, r.method.value, f"{r.point:.{digits}f}", f"{r.sd:.{digits}f}",
-         f"{r.sd_paper_compat:.{digits}f}", f"{r.ci_lo:.{digits}f}", f"{r.ci_hi:.{digits}f}",
-         f"{r.level:g}")
-        for r in table.rows
-    ]
-    widths = [max(len(header[i]), *(len(row[i]) for row in body)) if body else len(header[i])
-              for i in range(len(header))]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
-    lines.extend("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in body)
+    body = [(r.parameter, r.method.value,
+             *(f"{x:.{digits}f}" for x in (r.point, r.sd, r.sd_paper_compat, r.ci_lo, r.ci_hi)),
+             f"{r.level:g}") for r in table.rows]
+    widths = [max(map(len, column)) for column in zip(EstimateRow._fields, *body)]
+    lines = ("  ".join(cell.ljust(w) for cell, w in zip(row, widths))
+             for row in (EstimateRow._fields, *body))
     return "\n".join(lines) + "\n"
 
 
 def _table_csv(table: EstimateTable) -> str:
-    lines = ["parameter,method,point,sd,sd_paper_compat,ci_lo,ci_hi,level"]
-    lines.extend(
-        f"{r.parameter},{r.method.value},{r.point!r},{r.sd!r},{r.sd_paper_compat!r},"
-        f"{r.ci_lo!r},{r.ci_hi!r},{r.level!r}"
-        for r in table.rows
-    )
+    lines = [",".join(EstimateRow._fields)]
+    lines.extend(",".join([r.parameter, r.method.value, *map(repr, r[2:])]) for r in table.rows)
     return "\n".join(lines) + "\n"
 
 
 def _table_json(table: EstimateTable) -> str:
-    payload = {
-        "columns": ["parameter", "method", "point", "sd", "sd_paper_compat",
-                    "ci_lo", "ci_hi", "level"],
-        "rows": [
-            {"parameter": r.parameter, "method": r.method.value, "point": r.point,
-             "sd": r.sd, "sd_paper_compat": r.sd_paper_compat,
-             "ci_lo": r.ci_lo, "ci_hi": r.ci_hi, "level": r.level}
-            for r in table.rows
-        ],
-        "warnings": list(table.warnings),
-    }
+    # EstimateRow's fields are the columns, in order.
+    payload = {"columns": list(EstimateRow._fields),
+               "rows": [{**r._asdict(), "method": r.method.value} for r in table.rows],
+               "warnings": list(table.warnings)}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -147,6 +131,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    import dataclasses  # here, not at load: fit, duane and fixtures do without it
     from .montecarlo import PRESET_SCENARIOS, parse_scenario, run_study  # numpy loads here
 
     label = args.scenario
@@ -195,9 +180,9 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
     source.add_argument("--input", help="CSV file with header time,cause")
     source.add_argument("--fixtures", choices=sorted(_FIXTURES),
                         help="analyze a bundled dataset instead of --input")
-    parser.add_argument("--truncation", type=float,
+    parser.add_argument("--truncation", type=_number(float),
                         help="observation window end T (required with --input)")
-    parser.add_argument("--num-causes", type=int, default=None,
+    parser.add_argument("--num-causes", type=_number(int), default=None,
                         help="number of causes when it exceeds the largest observed label")
     parser.add_argument("--output", help="write the report here instead of stdout")
 
@@ -251,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     duane = sub.add_parser("duane", help="emit Duane plot points as CSV")
     _add_input_options(duane)
-    duane.add_argument("--cause", type=int, default=None,
+    # The upper bound, the history's cause count, is duane_points' to check.
+    duane.add_argument("--cause", type=_number(int), default=None,
                        help="emit a single cause instead of all")
     duane.set_defaults(func=_cmd_duane)
 

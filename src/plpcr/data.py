@@ -11,13 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .errors import DomainError, ValidationError, check_real, check_sequence, check_whole
 
 
-@dataclass(frozen=True)
-class FailureRecord:
+class FailureRecord(NamedTuple):
     """One failure: the event time and the cause label that produced it."""
 
     time: float
@@ -48,8 +48,7 @@ def _check_records(records, T: float, p: int, where=lambda i: f"record {i}") -> 
         previous = time
 
 
-@dataclass(frozen=True)
-class FailureHistory:
+class FailureHistory(namedtuple("FailureHistory", "records truncation_time num_causes")):
     """Ordered failure record of one system observed on (0, truncation_time].
 
     Times are strictly increasing and strictly inside the observation window;
@@ -57,14 +56,17 @@ class FailureHistory:
     to share.
     """
 
-    records: tuple[FailureRecord, ...]
-    truncation_time: float
-    num_causes: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, records: tuple[FailureRecord, ...], truncation_time: float, num_causes: int):
+        self = super().__new__(cls, records, truncation_time, num_causes)
         T = check_real(self.truncation_time, "truncation_time", ValidationError)
         p = check_whole(self.num_causes, "num_causes", ValidationError)
         _check_records(self.records, T, p)
+        return self
+
+    # _replace builds through _make; this runs both through __new__'s checks.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def n(self) -> int:
@@ -74,15 +76,13 @@ class FailureHistory:
         return tuple(r.time for r in self.records if r.cause == cause)
 
 
-@dataclass(frozen=True)
-class CauseStats:
+class CauseStats(namedtuple("CauseStats", "counts log_sums truncation_time")):
     """Per-cause sufficient statistics: counts n_j and sums of log(T / t)."""
 
-    counts: tuple[int, ...]
-    log_sums: tuple[float, ...]
-    truncation_time: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, counts: tuple[int, ...], log_sums: tuple[float, ...], truncation_time: float):
+        self = super().__new__(cls, counts, log_sums, truncation_time)
         # As cause_stats builds them: S_j > 0 with failures and S_j = 0 without.
         check_sequence(self.counts, "counts")
         check_sequence(self.log_sums, "log sums")
@@ -94,6 +94,9 @@ class CauseStats:
             check_real(s, f"cause {j} log sum", closed=n == 0)
             if n == 0 and s != 0.0:
                 raise DomainError(f"cause {j} log sum must be 0 with no failures, got {s!r}")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def num_causes(self) -> int:

@@ -7,14 +7,13 @@ the power-law model (its slope approximates beta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .data import FailureHistory
 from .errors import DiagnosticError, check_whole
 
 
-@dataclass(frozen=True)
-class DuaneSeries:
+class DuaneSeries(NamedTuple):
     """One cause's Duane scatter: (log_time, log_count) per failure."""
 
     cause: int

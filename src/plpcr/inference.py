@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -72,8 +71,7 @@ ALL_METHODS: tuple[Method, ...] = (Method.MLE, Method.CMLE, Method.JEFFREYS, Met
 _ALPHA_SHAPE_OFFSET = {Method.JEFFREYS: 1.0, Method.REFERENCE: 0.5}
 
 
-@dataclass(frozen=True)
-class EstimateRow:
+class EstimateRow(NamedTuple):
     parameter: str
     method: Method
     point: float
@@ -84,8 +82,7 @@ class EstimateRow:
     level: float
 
 
-@dataclass(frozen=True)
-class EstimateTable:
+class EstimateTable(NamedTuple):
     """Per-parameter estimate rows plus any per-cause exclusion warnings."""
 
     rows: tuple[EstimateRow, ...]
@@ -175,6 +172,11 @@ def _wald(point: tuple[float, ...], sd: tuple[float, ...], level: float) -> Cell
                  tuple([x + z * e for x, e in zip(point, sd)]))
 
 
+def _is_number_type(kind: type) -> bool:
+    # The number rule of errors.check_real: int or float (numpy's float64 is one), no bool.
+    return issubclass(kind, (int, float)) and kind is not bool
+
+
 def _input_fault(counts, log_sums) -> str | None:
     """What is wrong with the counts and log sums, if anything: their lengths
     or the index and value of the first bad entry, never the whole input."""
@@ -184,7 +186,7 @@ def _input_fault(counts, log_sums) -> str | None:
                              ("log sum", log_sums, lambda x: 0.0 < x < math.inf)):
         for i, value in enumerate(values):
             try:
-                if ok(float(value)):
+                if _is_number_type(type(value)) and ok(float(value)):
                     continue
             except (TypeError, ValueError, OverflowError):
                 pass
@@ -233,8 +235,10 @@ def fit(method: Method, counts, log_sums, level: float,
         n, s = tuple(map(float, counts)), tuple(map(float, log_sums))
     except (TypeError, ValueError, OverflowError):
         raise DomainError(_input_fault(counts, log_sums)) from None
-    # One pass per sequence; NaN and the infinities fail is_integer and isfinite.
+    # Each test is one pass at C speed; NaN and the infinities fail is_integer and
+    # isfinite, and a string or a bool, which float() reads, fails the type test.
     if not (len(n) == len(s) and all(map(float.is_integer, n)) and all(map(math.isfinite, s))
+            and all(map(_is_number_type, {*map(type, counts), *map(type, log_sums)}))
             and min(n, default=1.0) >= 1.0 and min(s, default=1.0) > 0.0):
         raise DomainError(_input_fault(counts, log_sums))
     return _beta_cells(method, n, s, level, convention), _alpha_cells(method, n, level)

@@ -6,33 +6,34 @@ parameterization the package uses.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, check_real, check_sequence, check_whole
 
 
-@dataclass(frozen=True)
-class PlpCauseParams:
+class PlpCauseParams(namedtuple("PlpCauseParams", "beta alpha cause_id")):
     """Parameters of one cause: shape beta, expected count alpha on (0, T]."""
 
-    beta: float
-    alpha: float
-    cause_id: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, beta: float, alpha: float, cause_id: int = 1):
+        self = super().__new__(cls, beta, alpha, cause_id)
         check_real(self.beta, "beta")
         check_real(self.alpha, "alpha")
         check_whole(self.cause_id, "cause_id")
+        return self
+
+    # _replace builds through _make; this runs both through __new__'s checks.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class SystemParams(namedtuple("SystemParams", "causes truncation_time")):
     """A series system of causes observed on (0, truncation_time]."""
 
-    causes: tuple[PlpCauseParams, ...]
-    truncation_time: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, causes: tuple[PlpCauseParams, ...], truncation_time: float):
+        self = super().__new__(cls, causes, truncation_time)
         if len(check_sequence(self.causes, "causes")) < 1:
             raise DomainError("a system needs at least one cause")
         for j, cause in enumerate(self.causes, start=1):
@@ -42,6 +43,9 @@ class SystemParams:
         ids = [c.cause_id for c in self.causes]
         if ids != list(range(1, len(ids) + 1)):
             raise DomainError(f"cause_id values must be contiguous 1..p, got {ids}")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def num_causes(self) -> int:

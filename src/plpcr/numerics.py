@@ -6,7 +6,7 @@ work with no dependency beyond the standard library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import NumericError, check_real
@@ -17,17 +17,20 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class GammaParams:
+class GammaParams(namedtuple("GammaParams", "shape rate")):
     """Shape/rate parameter pair of a gamma distribution (density
     rate^shape * x^(shape-1) * exp(-rate*x) / Gamma(shape))."""
 
-    shape: float
-    rate: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, shape: float, rate: float):
+        self = super().__new__(cls, shape, rate)
         check_real(self.shape, "gamma shape")
         check_real(self.rate, "gamma rate")
+        return self
+
+    # _replace builds through _make; this runs both through __new__'s checks.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def reg_gamma_p(a: float, x: float) -> float:
@@ -64,7 +67,7 @@ def _lower_series(a: float, x: float) -> float:
         denom += 1.0
         term *= x / denom
         total += term
-        if abs(term) < abs(total) * 1e-17:
+        if term < total * 1e-17:  # both positive: a > 0 and x > 0
             return min(1.0, total * _gamma_prefactor(a, x))
     raise NumericError(f"incomplete gamma series did not converge (a={a}, x={x})")
 

@@ -15,6 +15,97 @@ from plpcr.data import harvester_fixture, parse_history, serialize_history
 CSV_COLUMNS = ["parameter", "method", "point", "sd", "sd_paper_compat",
                "ci_lo", "ci_hi", "level"]
 
+# Full-precision `fit --fixtures harvester --format csv` output (stdout, stderr),
+# pinned byte for byte: a performance change must keep every digit.
+JEFFREYS_SHARED_WARNING = ('{"warning": "jeffreys: no closed-form posterior under the '
+                           'shared-shape model; rows omitted"}\n')
+HARVESTER_CSV = {
+    ("distinct", "map"): ("""\
+parameter,method,point,sd,sd_paper_compat,ci_lo,ci_hi,level
+beta_1,mle,0.5567102145662488,0.17604722747103935,0.17604722747103935,0.21166398914488127,0.9017564399876163,0.95
+beta_1,cmle,0.5010391931096239,0.1584425047239354,0.1584425047239354,0.1904975902303931,0.8115807959888546,0.95
+beta_1,jeffreys,0.5010391931096239,0.17604722747103937,0.17604722747103937,0.2669641869952451,0.9511284595261748,0.95
+beta_1,reference,0.5010391931096239,0.17604722747103937,0.17604722747103937,0.2669641869952451,0.9511284595261748,0.95
+beta_2,mle,1.0924927367450012,0.22300414606016697,0.22300414606016697,0.6554126420639642,1.5295728314260382,0.95
+beta_2,cmle,1.0469722060472928,0.21371230664099333,0.21371230664099333,0.6281037819779656,1.46584063011662,0.95
+beta_2,jeffreys,1.0469722060472928,0.2230041460601669,0.2230041460601669,0.6999807106181797,1.5709723676368503,0.95
+beta_2,reference,1.0469722060472928,0.2230041460601669,0.2230041460601669,0.6999807106181797,1.5709723676368503,0.95
+beta_3,mle,1.3271766767216435,0.35470288685783063,0.35470288685783063,0.6319717932679099,2.0223815601753774,0.95
+beta_3,cmle,1.2323783426700976,0.32936696636798557,0.32936696636798557,0.5868309508916306,1.8779257344485645,0.95
+beta_3,jeffreys,1.2323783426700976,0.35470288685783063,0.35470288685783063,0.7255798391399855,2.1074044983477473,0.95
+beta_3,reference,1.2323783426700976,0.35470288685783063,0.35470288685783063,0.7255798391399855,2.1074044983477473,0.95
+alpha_1,mle,10.0,3.1622776601683795,3.1622776601683795,3.8020496769543843,16.197950323045617,0.95
+alpha_1,cmle,10.0,3.1622776601683795,3.1622776601683795,3.8020496769543843,16.197950323045617,0.95
+alpha_1,jeffreys,10.0,3.3166247903554,3.1622776601683795,5.491160367236839,18.390356042017753,0.95
+alpha_1,reference,10.0,3.24037034920393,3.1622776601683795,5.141448891261433,17.739437952863618,0.95
+alpha_2,mle,24.0,4.898979485566356,4.898979485566356,14.39817664728938,33.60182335271062,0.95
+alpha_2,cmle,24.0,4.898979485566356,4.898979485566356,14.39817664728938,33.60182335271062,0.95
+alpha_2,jeffreys,24.0,5.0,4.898979485566356,16.178681847834717,35.71009759375316,0.95
+alpha_2,reference,24.0,4.949747468305833,4.898979485566356,15.77745823133945,35.111206783217234,0.95
+alpha_3,mle,14.0,3.7416573867739413,3.7416573867739413,6.66648627943482,21.33351372056518,0.95
+alpha_3,cmle,14.0,3.7416573867739413,3.7416573867739413,6.66648627943482,21.33351372056518,0.95
+alpha_3,jeffreys,14.0,3.872983346207417,3.7416573867739413,8.39538613278332,23.48962112183554,0.95
+alpha_3,reference,14.0,3.8078865529319543,3.7416573867739413,8.023535847682442,22.861142902087245,0.95
+""", ""),
+    ("distinct", "mean"): ("""\
+parameter,method,point,sd,sd_paper_compat,ci_lo,ci_hi,level
+beta_1,mle,0.5567102145662488,0.17604722747103935,0.17604722747103935,0.21166398914488127,0.9017564399876163,0.95
+beta_1,cmle,0.5010391931096239,0.1584425047239354,0.1584425047239354,0.1904975902303931,0.8115807959888546,0.95
+beta_1,jeffreys,0.5567102145662488,0.17604722747103937,0.17604722747103937,0.2669641869952451,0.9511284595261748,0.95
+beta_1,reference,0.5567102145662488,0.17604722747103937,0.17604722747103937,0.2669641869952451,0.9511284595261748,0.95
+beta_2,mle,1.0924927367450012,0.22300414606016697,0.22300414606016697,0.6554126420639642,1.5295728314260382,0.95
+beta_2,cmle,1.0469722060472928,0.21371230664099333,0.21371230664099333,0.6281037819779656,1.46584063011662,0.95
+beta_2,jeffreys,1.0924927367450012,0.2230041460601669,0.2230041460601669,0.6999807106181797,1.5709723676368503,0.95
+beta_2,reference,1.0924927367450012,0.2230041460601669,0.2230041460601669,0.6999807106181797,1.5709723676368503,0.95
+beta_3,mle,1.3271766767216435,0.35470288685783063,0.35470288685783063,0.6319717932679099,2.0223815601753774,0.95
+beta_3,cmle,1.2323783426700976,0.32936696636798557,0.32936696636798557,0.5868309508916306,1.8779257344485645,0.95
+beta_3,jeffreys,1.3271766767216435,0.35470288685783063,0.35470288685783063,0.7255798391399855,2.1074044983477473,0.95
+beta_3,reference,1.3271766767216435,0.35470288685783063,0.35470288685783063,0.7255798391399855,2.1074044983477473,0.95
+alpha_1,mle,10.0,3.1622776601683795,3.1622776601683795,3.8020496769543843,16.197950323045617,0.95
+alpha_1,cmle,10.0,3.1622776601683795,3.1622776601683795,3.8020496769543843,16.197950323045617,0.95
+alpha_1,jeffreys,10.0,3.3166247903554,3.1622776601683795,5.491160367236839,18.390356042017753,0.95
+alpha_1,reference,10.0,3.24037034920393,3.1622776601683795,5.141448891261433,17.739437952863618,0.95
+alpha_2,mle,24.0,4.898979485566356,4.898979485566356,14.39817664728938,33.60182335271062,0.95
+alpha_2,cmle,24.0,4.898979485566356,4.898979485566356,14.39817664728938,33.60182335271062,0.95
+alpha_2,jeffreys,24.0,5.0,4.898979485566356,16.178681847834717,35.71009759375316,0.95
+alpha_2,reference,24.0,4.949747468305833,4.898979485566356,15.77745823133945,35.111206783217234,0.95
+alpha_3,mle,14.0,3.7416573867739413,3.7416573867739413,6.66648627943482,21.33351372056518,0.95
+alpha_3,cmle,14.0,3.7416573867739413,3.7416573867739413,6.66648627943482,21.33351372056518,0.95
+alpha_3,jeffreys,14.0,3.872983346207417,3.7416573867739413,8.39538613278332,23.48962112183554,0.95
+alpha_3,reference,14.0,3.8078865529319543,3.7416573867739413,8.023535847682442,22.861142902087245,0.95
+""", ""),
+    ("shared", "map"): ("""\
+parameter,method,point,sd,sd_paper_compat,ci_lo,ci_hi,level
+beta,mle,0.950881339672026,0.13724789935675907,0.13724789935675907,0.6818803999790002,1.219882279365052,0.95
+beta,cmle,0.9310713117621922,0.13438856812015992,0.13438856812015992,0.667674558312771,1.1944680652116133,0.95
+beta,reference,0.9310713117621922,0.13724789935675905,0.13724789935675905,0.701104836181604,1.238127464273848,0.95
+alpha_1,mle,10.0,3.1622776601683795,3.1622776601683795,3.8020496769543843,16.197950323045617,0.95
+alpha_1,cmle,10.0,3.1622776601683795,3.1622776601683795,3.8020496769543843,16.197950323045617,0.95
+alpha_1,reference,10.0,3.24037034920393,3.1622776601683795,5.141448891261433,17.739437952863618,0.95
+alpha_2,mle,24.0,4.898979485566356,4.898979485566356,14.39817664728938,33.60182335271062,0.95
+alpha_2,cmle,24.0,4.898979485566356,4.898979485566356,14.39817664728938,33.60182335271062,0.95
+alpha_2,reference,24.0,4.949747468305833,4.898979485566356,15.77745823133945,35.111206783217234,0.95
+alpha_3,mle,14.0,3.7416573867739413,3.7416573867739413,6.66648627943482,21.33351372056518,0.95
+alpha_3,cmle,14.0,3.7416573867739413,3.7416573867739413,6.66648627943482,21.33351372056518,0.95
+alpha_3,reference,14.0,3.8078865529319543,3.7416573867739413,8.023535847682442,22.861142902087245,0.95
+""", JEFFREYS_SHARED_WARNING),
+    ("shared", "mean"): ("""\
+parameter,method,point,sd,sd_paper_compat,ci_lo,ci_hi,level
+beta,mle,0.950881339672026,0.13724789935675907,0.13724789935675907,0.6818803999790002,1.219882279365052,0.95
+beta,cmle,0.9310713117621922,0.13438856812015992,0.13438856812015992,0.667674558312771,1.1944680652116133,0.95
+beta,reference,0.950881339672026,0.13724789935675905,0.13724789935675905,0.701104836181604,1.238127464273848,0.95
+alpha_1,mle,10.0,3.1622776601683795,3.1622776601683795,3.8020496769543843,16.197950323045617,0.95
+alpha_1,cmle,10.0,3.1622776601683795,3.1622776601683795,3.8020496769543843,16.197950323045617,0.95
+alpha_1,reference,10.0,3.24037034920393,3.1622776601683795,5.141448891261433,17.739437952863618,0.95
+alpha_2,mle,24.0,4.898979485566356,4.898979485566356,14.39817664728938,33.60182335271062,0.95
+alpha_2,cmle,24.0,4.898979485566356,4.898979485566356,14.39817664728938,33.60182335271062,0.95
+alpha_2,reference,24.0,4.949747468305833,4.898979485566356,15.77745823133945,35.111206783217234,0.95
+alpha_3,mle,14.0,3.7416573867739413,3.7416573867739413,6.66648627943482,21.33351372056518,0.95
+alpha_3,cmle,14.0,3.7416573867739413,3.7416573867739413,6.66648627943482,21.33351372056518,0.95
+alpha_3,reference,14.0,3.8078865529319543,3.7416573867739413,8.023535847682442,22.861142902087245,0.95
+""", JEFFREYS_SHARED_WARNING),
+}
+
 
 def _run(capsys, argv):
     code = main(argv)
@@ -44,6 +135,12 @@ class TestFit:
                              ("alpha_3", 8.024, 22.861)):
             assert abs(float(rows[name]["ci_lo"]) - lo) < 1e-3
             assert abs(float(rows[name]["ci_hi"]) - hi) < 1e-3
+
+    @pytest.mark.parametrize("model, point", list(HARVESTER_CSV), ids="-".join)
+    def test_full_precision_csv_is_pinned(self, capsys, model, point):
+        argv = ["fit", "--fixtures", "harvester", "--format", "csv", "--model", model,
+                "--point", point]
+        assert _run(capsys, argv) == (0, *HARVESTER_CSV[model, point])
 
     def test_schema_stable(self, capsys):
         code, out, _ = _run(capsys, ["fit", "--fixtures", "harvester", "--format", "csv"])
@@ -318,6 +415,22 @@ class TestCommandLine:
                                                 "'1e4'"),
         (["fit", "--fixtures", "harvester", "--level", "0"], "argument --level: value must be a "
                                                              "real in (0.0, 1.0), got 0.0"),
+        (["fit", "--input", "h.csv", "--truncation", "-1"], "argument --truncation: value must "
+                                                            "be a positive real, got -1.0"),
+        (["fit", "--fixtures", "harvester", "--truncation", "inf"], "argument --truncation: value "
+                                                                    "must be a positive real, "
+                                                                    "got inf"),
+        (["fit", "--input", "h.csv", "--truncation", "9", "--num-causes", "0"],
+         "argument --num-causes: value must be a positive integer, got 0"),
+        (["duane", "--input", "h.csv", "--truncation", "nan"], "argument --truncation: value "
+                                                               "must be a positive real, got nan"),
+        (["duane", "--fixtures", "harvester", "--num-causes", "-2"], "argument --num-causes: value "
+                                                                     "must be a positive integer, "
+                                                                     "got -2"),
+        (["duane", "--fixtures", "harvester", "--cause", "0"], "argument --cause: value must be a "
+                                                               "positive integer, got 0"),
+        (["duane", "--fixtures", "harvester", "--cause", "1.5"], "argument --cause: invalid int "
+                                                                 "value: '1.5'"),
     ], ids=" ".join)
     def test_number_option_refusal_names_the_flag(self, capsys, argv, message):
         # The parser holds each number option to the package's number rule, so a

@@ -3,7 +3,6 @@ intervals, and the log-likelihood, each through the kernel `fit` or the
 estimate table and checked against an independent computation."""
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import re
@@ -532,10 +531,16 @@ class TestFitKernel:
         for counts, log_sums in (([2.5], [1.0]), ([math.inf], [1.0]), ([math.nan], [1.0]),
                                  ([1, 2], [1.0]), ([[2, 3]], [1.0, 2.0]), (["a"], [1.0]),
                                  ([2], ["a"]), ([[2], [3, 4]], [1.0]), ([10**400], [1.0]),
-                                 (np.array([2, 3]), [1.0, 2.0]), ("23", [1.0, 2.0])):
+                                 (np.array([2, 3]), [1.0, 2.0]), ("23", [1.0, 2.0]),
+                                 # float() reads a numeric string and a bool; neither is a number.
+                                 (["3", True], [1.0, 2.0]), (["3"], [1.0]), ([True], [1.0]),
+                                 ([2], ["1.5"]), ([2], [True]), ([np.int64(2)], [1.0])):
             for method in ALL_METHODS:
                 with pytest.raises(DomainError):
                     fit(method, counts, log_sums, 0.95)
+        # numpy's float64 is a float, so it passes as a count and as a log sum.
+        assert (fit(Method.MLE, [np.float64(3.0)], [np.float64(1.5)], 0.95)
+                == fit(Method.MLE, [3], [1.5], 0.95))
 
     def test_fault_message_names_the_entry(self):
         # One bad entry in a study-sized input: the message gives the length and
@@ -555,7 +560,7 @@ class TestFitKernel:
                                               r"in length$"):
             fit(Method.MLE, counts, log_sums[:65_536], 0.95)
         # An entry that is not a number is named by its index and a shortened repr.
-        for bad in ("a", "a" * 131_072, 10**400, [2, 3]):
+        for bad in ("a", "a" * 131_072, 10**400, [2, 3], "3", True):
             with pytest.raises(DomainError, match=r"of 131072 entries, the count at index 5 is "
                                                   + re.escape(reprlib.repr(bad))) as caught:
                 fit(Method.MLE, [2] * 5 + [bad] * 131_067, [1.0] * 131_072, 0.95)
@@ -764,7 +769,7 @@ def _renamer(label: dict[int, int]):
 
 
 def _rows(table: EstimateTable, rename=lambda name: name) -> dict:
-    return {(rename(r.parameter), r.method): dataclasses.replace(r, parameter=rename(r.parameter))
+    return {(rename(r.parameter), r.method): r._replace(parameter=rename(r.parameter))
             for r in table.rows}
 
 
