@@ -101,7 +101,7 @@ def _parse_methods(text: str) -> tuple[Method, ...]:
                                              "cmle, jeffreys, reference, or all") from None
     if not chosen:
         raise argparse.ArgumentTypeError("no methods selected")
-    return tuple(dict.fromkeys(chosen))
+    return tuple(chosen)
 
 
 def _parse_prior(text: str) -> tuple[Method, ...]:

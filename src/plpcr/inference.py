@@ -102,10 +102,10 @@ def _as(kind: type[Enum], value):
 
 
 def _as_methods(methods) -> tuple[Method, ...]:
-    """The members that a non-empty list or tuple of methods names; a string is refused."""
+    """The methods a non-empty list or tuple names, repeats dropped; a string is refused."""
     if not check_sequence(methods, "methods"):
         raise DomainError("at least one method is required")
-    return tuple(_as(Method, m) for m in methods)
+    return tuple(dict.fromkeys(_as(Method, m) for m in methods))
 
 
 def alpha_laws_from_counts(counts: tuple[int, ...] | list[int],

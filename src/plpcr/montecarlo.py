@@ -9,8 +9,10 @@ discarded.  Each method is fitted once per distinct count in a block of
 replications, at unit log sum: given n_j, beta_j * S_j ~ Gamma(n_j, 1), so a
 row's beta cells are the cells at its counts scaled by 1/S_j, and its alpha
 cells depend on the counts alone.  Points are scored by mean relative error
-and mean squared error and intervals by coverage.  No event history is ever
-built; the test suite checks the sampler against an event-level simulator.
+and mean squared error and intervals by coverage, each distinct cell set once
+per block (cmle and map beta points, Bayes beta intervals, every alpha point,
+mle and cmle alpha intervals); alpha hits are counted per distinct count.  No
+event history is built; the tests check the sampler against one that is.
 
 Determinism contract: replications are drawn in blocks of a fixed 65,536,
 block b from the random stream keyed by (master_seed, b), and block sums are
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -222,26 +225,33 @@ def _draw_block(scenario: Scenario, block: int, size: int) -> tuple[np.ndarray, 
 
 def _block_sums(scenario: Scenario, methods: tuple[Method, ...],
                 counts: np.ndarray, log_sums: np.ndarray) -> np.ndarray:
-    """Sums over rows of theta_hat/theta, (theta_hat - theta)^2 and coverage
-    hits, shaped (3, methods, parameters), from one fit per distinct count;
-    methods with equal points (cmle and map beta, every alpha) share sums."""
-    truth = np.array(_true_vector(scenario.params))
-    sums = np.empty((3, len(methods), truth.size))
+    """Sums over rows of theta_hat/theta, (theta_hat - theta)^2 and coverage hits,
+    shaped (3, methods, parameters): one fit per distinct count, one reduction per
+    distinct point or interval cell set of a family, alpha hits per distinct count."""
+    p, truth = scenario.params.num_causes, np.array(_true_vector(scenario.params))
+    sums = np.empty((3, len(methods), 2 * p))
     grid, index = np.unique(counts, return_inverse=True)
     index = index.reshape(counts.shape)  # the inverse's shape differs across numpy 2.x
-    grid, unit, point_sums = grid.tolist(), [1.0] * grid.size, {}
+    mult = np.bincount((index + grid.size * np.arange(p)).ravel(),  # rows per (cause, count)
+                       minlength=p * grid.size).reshape(p, grid.size)
+    grid, unit = grid.tolist(), [1.0] * grid.size
+
+    @cache  # each distinct cell set of a family is reduced once
+    def reduce(beta: bool, *cells):  # a point: (rel, sq) sums; an interval (lo, hi): hits
+        theta = truth[:p] if beta else truth[p:]
+        if not beta and len(cells) == 2:  # hits per distinct count, times its rows
+            lo, hi = np.array(cells)
+            return np.sum(mult * ((lo <= theta[:, None]) & (theta[:, None] <= hi)), axis=1)
+        x = [np.array(c)[index] / log_sums if beta else np.array(c)[index] for c in cells]
+        if len(x) == 2:
+            return np.sum((x[0] <= theta) & (theta <= x[1]), axis=0)
+        return np.sum(x[0] / theta, axis=0), np.sum((x[0] - theta) ** 2, axis=0)
+
     for m, method in enumerate(methods):
         beta, alpha = fit(method, grid, unit, scenario.level)
-        # On demand, per replication: the beta cells scaled by 1/S_j, the alpha cells.
-        rows = (np.hstack((np.array(b)[index] / log_sums, np.array(a)[index]))
-                for b, a in ((beta.lo, alpha.lo), (beta.hi, alpha.hi), (beta.point, alpha.point)))
-        lo, hi = next(rows), next(rows)
-        sums[2, m] = np.sum((lo <= truth) & (truth <= hi), axis=0)
-        if (beta.point, alpha.point) not in point_sums:
-            point = next(rows)
-            point_sums[beta.point, alpha.point] = (np.sum(point / truth, axis=0),
-                                                   np.sum((point - truth) ** 2, axis=0))
-        sums[0, m], sums[1, m] = point_sums[beta.point, alpha.point]
+        sums[:2, m, :p], sums[:2, m, p:] = reduce(True, beta.point), reduce(False, alpha.point)
+        sums[2, m, :p] = reduce(True, beta.lo, beta.hi)
+        sums[2, m, p:] = reduce(False, alpha.lo, alpha.hi)
     return sums
 
 

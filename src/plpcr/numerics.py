@@ -38,7 +38,7 @@ def reg_gamma_p(a: float, x: float) -> float:
 
     Series expansion for x < a + 1, Lentz continued fraction for the upper
     tail otherwise; both converge to machine precision on the ranges used
-    here (a up to ~1e6).
+    here (a up to about 1.8e6; past that, a NumericError).
     """
     check_real(a, "reg_gamma_p a")
     check_real(x, "reg_gamma_p x", closed=True)

@@ -336,6 +336,20 @@ class TestSimulate:
         assert record["type"] == "ValidationError"
         assert f"unknown key '{line.split()[0]}'" in record["message"]
 
+    def test_count_beyond_the_gamma_solver_range_errors(self, capsys, tmp_path):
+        # Counts near 1e7 are past the quantile solver's working range (shapes up
+        # to about 2.4e6 at level 0.95): the study ends in a NumericError record.
+        path = tmp_path / "huge.scenario"
+        path.write_text("beta = [1.0]\nalpha = [1e7]\nT = 5.0\nreplications = 16\n",
+                        encoding="utf-8")
+        code, out, err = _run(capsys, ["simulate", "--scenario", str(path)])
+        assert code == 1
+        assert out == ""
+        (line_out,) = err.splitlines()
+        record = json.loads(line_out)["error"]
+        assert record["type"] == "NumericError"
+        assert record["message"].startswith("incomplete gamma series did not converge")
+
     def test_full_scale_study_is_quiet(self, capsys):
         code, out, err = _run(capsys, ["simulate", "--scenario", "scenario1",
                                        "--replications", "1000000", "--format", "json"])
@@ -445,6 +459,7 @@ class TestCommandLine:
         (["--prior", "reference"], ["--methods", "reference"]),
         (["--prior", "jeffreys"], ["--methods", "jeffreys"]),
         (["--paper-compat"], ["--point", "mean"]),
+        (["--methods", "mle,reference,MLE"], ["--methods", "mle,reference"]),
     ])
     def test_alias_matches_its_option(self, capsys, alias, spelled_out):
         base = ["fit", "--fixtures", "harvester", "--format", "csv"]

@@ -730,6 +730,13 @@ class TestEstimateTable:
                 == build_estimate_table(stats, (Method.REFERENCE, Method.MLE)))
         with pytest.raises(DomainError, match="'bogus'"):
             build_estimate_table(stats, ("mle", "bogus"))
+        # A repeated method adds no rows; the first-seen order stands.
+        for repeated, once in ((("mle", "mle"), (Method.MLE,)),
+                               (("reference", Method.REFERENCE), (Method.REFERENCE,)),
+                               (("cmle", "mle", Method.CMLE), (Method.CMLE, Method.MLE))):
+            table = build_estimate_table(stats, repeated)
+            assert len(table.rows) == 6 * len(once)
+            assert table == build_estimate_table(stats, once)
         # A model or convention named by its value gives the enum's table.
         for model, convention in itertools.product(Model, PointConvention):
             assert (build_estimate_table(stats, model=model.value, convention=convention.value)

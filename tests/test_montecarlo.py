@@ -2,6 +2,7 @@
 pairing/discard bookkeeping, and worker-independent determinism."""
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from plpcr.montecarlo import (
     parse_scenario,
     run_study,
 )
-from reference import scalar_cells
+from reference import block_sums, scalar_cells
 
 
 class TestSimulateHistory:
@@ -259,6 +260,18 @@ class TestRunStudy:
         with pytest.raises(DomainError, match="'bogus'"):
             run_study(scenario, methods=("mle", "bogus"))
 
+    def test_repeated_methods_count_once(self):
+        # A method named twice, by enum member or by value, adds no rows: the
+        # report is that of its first-seen order.
+        scenario = Scenario(PRESET_SCENARIOS["scenario1"].params, 256, 5)
+        for repeated, once in ((("mle", "mle"), (Method.MLE,)),
+                               (("reference", Method.REFERENCE), (Method.REFERENCE,)),
+                               (("cmle", "mle", Method.CMLE, "jeffreys", "mle"),
+                                (Method.CMLE, Method.MLE, Method.JEFFREYS))):
+            report = run_study(scenario, methods=repeated)
+            assert len(report.rows) == 4 * len(once)
+            assert report.to_json() == run_study(scenario, methods=once).to_json()
+
     def test_all_discarded_raises(self):
         scenario = make_scenario((1.0, 1.0), (0.01, 0.01), 1.0, replications=64, seed=8)
         with pytest.raises(StudyError):
@@ -327,6 +340,39 @@ class TestEngine:
         for got, want in zip(engine.rows, scalar.rows):
             for field in ("mre", "mse", "cp"):
                 assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12)
+
+    @pytest.mark.parametrize("level", [0.9, 0.95])
+    @pytest.mark.parametrize("case", sorted(_ENGINE_CASES))
+    def test_block_sums_match_per_row_oracle(self, case, level):
+        # Bit for bit: each distinct cell set is reduced once per block, and
+        # alpha hits are counted per distinct count, with no change in the sums.
+        scenario = Scenario(_ENGINE_CASES[case].params, 1, 31, level)
+        counts, log_sums, _ = montecarlo._draw_block(scenario, 0, 3000)
+        rng = np.random.default_rng(5)
+        single = np.full((7, counts.shape[1]), 4)  # one distinct count
+        blocks = [(counts, log_sums), (single, rng.standard_gamma(single) + 0.5)]
+        for methods in (m for r in range(1, 5) for m in itertools.combinations(ALL_METHODS, r)):
+            for block in blocks:
+                assert np.array_equal(montecarlo._block_sums(scenario, methods, *block),
+                                      block_sums(scenario, methods, *block)), methods
+
+    def test_block_sums_match_oracle_for_an_all_discarded_block(self):
+        scenario = make_scenario((1.0, 1.0), (0.01, 0.01), 1.0)
+        counts, log_sums, discarded = montecarlo._draw_block(scenario, 0, 64)
+        assert discarded == 64 and counts.shape == (0, 2)
+        got = montecarlo._block_sums(scenario, ALL_METHODS, counts, log_sums)
+        assert np.array_equal(got, block_sums(scenario, ALL_METHODS, counts, log_sums))
+        assert not got.any()
+
+    @pytest.mark.parametrize("preset", ["scenario1", "scenario5"])
+    def test_reports_match_per_row_oracle_across_blocks(self, preset, monkeypatch):
+        # 70,000 replications cross the 65,536 block boundary.
+        scenario = Scenario(PRESET_SCENARIOS[preset].params, 70_000, 11, 0.95, preset)
+        engine = run_study(scenario)
+        monkeypatch.setattr(montecarlo, "_block_sums", block_sums)
+        oracle = run_study(scenario)
+        assert engine.to_json() == oracle.to_json()
+        assert engine.to_csv() == oracle.to_csv()
 
     def test_kernel_sees_distinct_counts_only(self, monkeypatch):
         # A block is fitted once per distinct count, so no quantile lookup
