@@ -15,9 +15,11 @@ mle and cmle alpha intervals); alpha hits are counted per distinct count.  No
 event history is built; the tests check the sampler against one that is.
 
 Determinism contract: replications are drawn in blocks of a fixed 65,536,
-block b from the random stream keyed by (master_seed, b), and block sums are
-added in block order.  A report is therefore a pure function of the scenario
-and the method set; there is one execution path, whatever the worker count.
+block b from the random stream keyed by (master_seed, b).  A block is held
+cause-major, and each cause's float sums add its replications in block
+order, for every number of causes; block sums are added in block order.  A
+report is therefore a pure function of the scenario and the method set;
+there is one execution path, whatever the worker count.
 """
 from __future__ import annotations
 
@@ -217,35 +219,53 @@ def _draw_block(scenario: Scenario, block: int, size: int) -> tuple[np.ndarray, 
     causes = scenario.params.causes
     key = np.array([scenario.master_seed, block], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
-    counts = gen.poisson([c.alpha for c in causes], (size, len(causes)))
-    counts = counts[(counts >= 2).all(axis=1)]
-    log_sums = gen.standard_gamma(counts) / np.array([c.beta for c in causes])
-    return counts, log_sums, size - len(counts)
+    alphas = [c.alpha for c in causes]
+    try:
+        counts = gen.poisson(alphas, (size, len(causes)))
+    except ValueError as exc:  # a mean past numpy's Poisson range, about 9.2e18
+        raise DomainError(f"alpha = {alphas} is beyond the Poisson sampler's range "
+                          f"({exc})") from None
+    counts = counts[np.logical_and.reduce([n >= 2 for n in counts.T])]
+    # The log sums are stored cause-major and returned as a (rows, causes) view,
+    # so that _block_sums reads each cause's column as contiguous memory.
+    log_sums = np.empty((len(causes), len(counts)))
+    np.divide(gen.standard_gamma(counts).T, np.array([[c.beta] for c in causes]), out=log_sums)
+    return counts, log_sums.T, size - len(counts)
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Each row of a (causes, rows) float array added left to right, in place."""
+    return np.add.accumulate(x, axis=1, out=x)[:, -1]
 
 
 def _block_sums(scenario: Scenario, methods: tuple[Method, ...],
                 counts: np.ndarray, log_sums: np.ndarray) -> np.ndarray:
     """Sums over rows of theta_hat/theta, (theta_hat - theta)^2 and coverage hits,
     shaped (3, methods, parameters): one fit per distinct count, one reduction per
-    distinct point or interval cell set of a family, alpha hits per distinct count."""
+    distinct point or interval cell set of a family, alpha hits per distinct count.
+    The block is held cause-major, and each cause's float sums add its rows in
+    block order."""
     p, truth = scenario.params.num_causes, np.array(_true_vector(scenario.params))
-    sums = np.empty((3, len(methods), 2 * p))
-    grid, index = np.unique(counts, return_inverse=True)
-    index = index.reshape(counts.shape)  # the inverse's shape differs across numpy 2.x
-    mult = np.bincount((index + grid.size * np.arange(p)).ravel(),  # rows per (cause, count)
-                       minlength=p * grid.size).reshape(p, grid.size)
+    sums = np.zeros((3, len(methods), 2 * p))
+    if not len(counts):  # every replication of the block was discarded
+        return sums
+    grid, index = np.unique(counts.T, return_inverse=True)
+    index = index.reshape(p, -1)  # the inverse's shape differs across numpy 2.x
+    log_sums = np.ascontiguousarray(log_sums.T)  # a no-op on _draw_block's layout
+    mult = np.bincount((index + grid.size * np.arange(p)[:, None]).ravel(),  # rows per
+                       minlength=p * grid.size).reshape(p, grid.size)  # (cause, count)
     grid, unit = grid.tolist(), [1.0] * grid.size
 
     @cache  # each distinct cell set of a family is reduced once
     def reduce(beta: bool, *cells):  # a point: (rel, sq) sums; an interval (lo, hi): hits
-        theta = truth[:p] if beta else truth[p:]
+        theta = (truth[:p] if beta else truth[p:])[:, None]
         if not beta and len(cells) == 2:  # hits per distinct count, times its rows
             lo, hi = np.array(cells)
-            return np.sum(mult * ((lo <= theta[:, None]) & (theta[:, None] <= hi)), axis=1)
+            return np.sum(mult * ((lo <= theta) & (theta <= hi)), axis=1)
         x = [np.array(c)[index] / log_sums if beta else np.array(c)[index] for c in cells]
         if len(x) == 2:
-            return np.sum((x[0] <= theta) & (theta <= x[1]), axis=0)
-        return np.sum(x[0] / theta, axis=0), np.sum((x[0] - theta) ** 2, axis=0)
+            return np.sum((x[0] <= theta) & (theta <= x[1]), axis=1)
+        return _row_sums(x[0] / theta), _row_sums((x[0] - theta) ** 2)
 
     for m, method in enumerate(methods):
         beta, alpha = fit(method, grid, unit, scenario.level)
@@ -259,7 +279,9 @@ def run_study(scenario: Scenario, methods: tuple[Method, ...] = ALL_METHODS,
               workers: int = 1) -> McReport:
     """Run the full replication study and assemble the report.
 
-    Raises StudyError when every replication was discarded.  Results are a
+    Raises StudyError when every replication was discarded, and DomainError
+    when an alpha is past the Poisson sampler's range or a beta drives a log
+    sum, a beta estimate or its squared error out of the float64 range.  Results are a
     pure function of the scenario (including master_seed) and the method set
     (see the module docstring).  `workers` is validated and has no effect; it
     stays so that existing callers keep working.
@@ -270,11 +292,18 @@ def run_study(scenario: Scenario, methods: tuple[Method, ...] = ALL_METHODS,
     p = scenario.params.num_causes
     sums = np.zeros((3, len(methods), 2 * p))
     used = discarded = 0
-    for block, start in enumerate(range(0, M, _BLOCK)):
-        counts, log_sums, block_discarded = _draw_block(scenario, block, min(_BLOCK, M - start))
-        sums += _block_sums(scenario, methods, counts, log_sums)
-        used += len(counts)
-        discarded += block_discarded
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for block, start in enumerate(range(0, M, _BLOCK)):
+                counts, log_sums, block_discarded = _draw_block(scenario, block,
+                                                                min(_BLOCK, M - start))
+                sums += _block_sums(scenario, methods, counts, log_sums)
+                used += len(counts)
+                discarded += block_discarded
+    except FloatingPointError as exc:  # only a beta scales the draws' floats
+        raise DomainError(f"beta = {[c.beta for c in scenario.params.causes]} takes the "
+                          "study's log sums, beta estimates or their squared errors out of "
+                          f"the float64 range ({exc})") from None
     rel, sq, cover = sums
     if used == 0:
         raise StudyError("every replication was discarded (some cause below 2 failures); "

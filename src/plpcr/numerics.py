@@ -167,7 +167,12 @@ def _std_gamma_quantile(shape: float, q: float) -> float:
         y = math.exp((math.log(q) + math.lgamma(a + 1.0)) / a)
     lo, hi = 0.0, math.inf
     for _ in range(200):
-        p = _reg_gamma_p(a, y)
+        try:
+            p = _reg_gamma_p(a, y)
+        except NumericError as exc:
+            raise NumericError(f"gamma quantile of shape {shape} at q={q:g} is past the solver's "
+                               "working range (shapes up to about 1.8e6 at level 0.5, "
+                               "2.8e6 at level 0.99)") from exc
         err = p - q
         if abs(err) < 1e-13:
             return y

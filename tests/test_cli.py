@@ -338,7 +338,8 @@ class TestSimulate:
 
     def test_count_beyond_the_gamma_solver_range_errors(self, capsys, tmp_path):
         # Counts near 1e7 are past the quantile solver's working range (shapes up
-        # to about 2.4e6 at level 0.95): the study ends in a NumericError record.
+        # to about 2.4e6 at level 0.95): the study ends in a NumericError record
+        # that names the gamma shape and the range.
         path = tmp_path / "huge.scenario"
         path.write_text("beta = [1.0]\nalpha = [1e7]\nT = 5.0\nreplications = 16\n",
                         encoding="utf-8")
@@ -348,7 +349,30 @@ class TestSimulate:
         (line_out,) = err.splitlines()
         record = json.loads(line_out)["error"]
         assert record["type"] == "NumericError"
-        assert record["message"].startswith("incomplete gamma series did not converge")
+        assert record["message"].startswith("gamma quantile of shape ")
+        shape = float(record["message"].split()[4])
+        assert shape > 2.4e6
+        assert "working range (shapes up to about 1.8e6 at level 0.5" in record["message"]
+
+    @pytest.mark.parametrize("beta, alpha, named", [
+        ("[1.0]", "[1e19]", "alpha = [1e+19]"),  # past numpy's Poisson range
+        ("[1e-320]", "[5.0]", "beta = [1e-320]"),  # log sums overflow
+        ("[1e300, 1.0]", "[5.0, 5.0]", "beta = [1e+300, 1.0]"),  # squared errors overflow
+    ])
+    def test_float_range_faults_end_in_one_record(self, capsys, tmp_path, beta, alpha, named):
+        # Valid values whose draws or sums leave the float64 range end in one
+        # DomainError record naming the parameter, not a traceback, a numpy
+        # warning or a report of 0.0 and inf cells.
+        path = tmp_path / "range.scenario"
+        path.write_text(f"beta = {beta}\nalpha = {alpha}\nT = 5.0\nreplications = 64\n",
+                        encoding="utf-8")
+        code, out, err = _run(capsys, ["simulate", "--scenario", str(path)])
+        assert code == 1
+        assert out == ""
+        (line_out,) = err.splitlines()
+        record = json.loads(line_out)["error"]
+        assert record["type"] == "DomainError"
+        assert record["message"].startswith(named)
 
     def test_full_scale_study_is_quiet(self, capsys):
         code, out, err = _run(capsys, ["simulate", "--scenario", "scenario1",

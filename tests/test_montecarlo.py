@@ -317,9 +317,16 @@ def _scalar_study(scenario: Scenario, methods) -> McReport:
 
 
 # Far-apart counts: cause 1 has a few failures, cause 2 about 2000, so a block's
-# distinct counts fall in two ranges with a wide gap between them.
+# distinct counts fall in two ranges with a wide gap between them.  The one-,
+# three- and four-cause systems check the row-order sums at every cause count.
 _ENGINE_CASES = {**PRESET_SCENARIOS,
-                 "far_apart": make_scenario((1.2, 0.8), (3.0, 2000.0), 5.0, name="far_apart")}
+                 "far_apart": make_scenario((1.2, 0.8), (3.0, 2000.0), 5.0, name="far_apart"),
+                 "one_cause": make_scenario((1.3,), (7.0,), 5.0, name="one_cause"),
+                 "one_cause_busy": make_scenario((0.7,), (60.0,), 5.0, name="one_cause_busy"),
+                 "three_causes": make_scenario((1.5, 0.8, 2.0), (6.0, 12.0, 4.0), 5.0,
+                                               name="three_causes"),
+                 "four_causes": make_scenario((1.5, 0.8, 2.0, 1.1), (6.0, 12.0, 4.0, 9.0), 5.0,
+                                              name="four_causes")}
 
 
 class TestEngine:
@@ -355,6 +362,10 @@ class TestEngine:
             for block in blocks:
                 assert np.array_equal(montecarlo._block_sums(scenario, methods, *block),
                                       block_sums(scenario, methods, *block)), methods
+        # A full block, where a pairwise sum and a row-order sum part most often.
+        full = montecarlo._draw_block(scenario, 0, montecarlo._BLOCK)[:2]
+        assert np.array_equal(montecarlo._block_sums(scenario, ALL_METHODS, *full),
+                              block_sums(scenario, ALL_METHODS, *full))
 
     def test_block_sums_match_oracle_for_an_all_discarded_block(self):
         scenario = make_scenario((1.0, 1.0), (0.01, 0.01), 1.0)
