@@ -3,7 +3,8 @@
 Reports go to stdout (or ``--output``); warnings and machine-readable error
 records go to stderr as single JSON lines.  Numbers in the default table
 rendering are rounded to three decimals; the csv and json formats carry full
-precision and contain identical values.
+precision and contain identical values.  The json output is the layout of
+``json.dumps(payload, indent=2)``.
 """
 from __future__ import annotations
 
@@ -81,12 +82,23 @@ def _table_csv(table: EstimateTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_strings(items) -> str:
+    # A list of strings one level deep in json.dumps(payload, indent=2).
+    text = json.dumps(items, separators=(",\n    ", ": "))
+    return f"[\n    {text[1:-1]}\n  ]" if items else "[]"
+
+
 def _table_json(table: EstimateTable) -> str:
-    # EstimateRow's fields are the columns, in order.
-    payload = {"columns": list(EstimateRow._fields),
-               "rows": [{**r._asdict(), "method": r.method.value} for r in table.rows],
-               "warnings": list(table.warnings)}
-    return json.dumps(payload, indent=2) + "\n"
+    # json.dumps(payload, indent=2) + "\n" from json's C encoder (its indented one is
+    # pure Python): a list's separator carries its items' newline and indent.  Only
+    # separators hold a raw newline, so "},\n      {" splits exactly the row objects.
+    rows = json.dumps([dict(zip(EstimateRow._fields, r)) for r in table.rows],
+                      separators=(",\n      ", ": "))  # a Method encodes as its value
+    if table.rows:
+        rows = ("[\n    {\n      " + rows[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+                + "\n    }\n  ]")
+    return (f'{{\n  "columns": {_json_strings(EstimateRow._fields)},\n  "rows": {rows},\n'
+            f'  "warnings": {_json_strings(table.warnings)}\n}}\n')
 
 
 def _parse_methods(text: str) -> tuple[Method, ...]:

@@ -20,15 +20,20 @@ Each rule is decided once: ``Method`` names the two priors, whose only
 difference is the alpha shape offset in ``_ALPHA_SHAPE_OFFSET``, and every
 public entry accepts a ``Model``, ``Method`` or ``PointConvention`` member or
 its value, refusing any other value with a DomainError.  Every cell of an
-estimate table or a replication study comes from the kernel ``fit``, plain
-``math`` over lists of counts and log sums (the pooled beta of the
-shared-shape model is a one-entry fit), so fitting never imports numpy.
+estimate table or a replication study comes from one kernel, ``_fit``, plain
+``math`` over float tuples of counts and log sums (the pooled beta of the
+shared-shape model is its beta half on one entry), so fitting never imports
+numpy.  The public ``fit`` checks its inputs and calls the kernel;
+``build_estimate_table``, whose statistics a ``CauseStats`` has checked, and
+the study engine, whose counts are drawn valid, check each table or block
+once and call the kernel directly.
 """
 from __future__ import annotations
 
 import math
 import reprlib
 from enum import Enum
+from itertools import repeat
 from typing import NamedTuple
 
 from .data import CauseStats, FailureHistory, cause_stats
@@ -172,23 +177,18 @@ def _wald(point: tuple[float, ...], sd: tuple[float, ...], level: float) -> Cell
                  tuple([x + z * e for x, e in zip(point, sd)]))
 
 
-def _is_number_type(kind: type) -> bool:
-    # The number rule of errors.check_real: int or float (numpy's float64 is one), no bool.
-    return issubclass(kind, (int, float)) and kind is not bool
-
-
 def _input_fault(counts, log_sums) -> str | None:
     """What is wrong with the counts and log sums, if anything: their lengths
     or the index and value of the first bad entry, never the whole input."""
     if len(counts) != len(log_sums):
         return f"{len(counts)} counts and {len(log_sums)} log sums differ in length"
-    for name, values, ok in (("count", counts, lambda x: x >= 1.0 and x.is_integer()),
-                             ("log sum", log_sums, lambda x: 0.0 < x < math.inf)):
+    for name, values, whole in (("count", counts, True), ("log sum", log_sums, False)):
         for i, value in enumerate(values):
-            try:
-                if _is_number_type(type(value)) and ok(float(value)):
+            try:  # the number rule; a count whole and >= 1, a log sum > 0
+                check_real(value, name, low=1.0 if whole else 0.0, closed=whole)
+                if not whole or float(value).is_integer():
                     continue
-            except (TypeError, ValueError, OverflowError):
+            except DomainError:
                 pass
             return ("counts must be whole numbers >= 1 and log sums positive and finite; "
                     f"of {len(counts)} entries, the {name} at index {i} is {reprlib.repr(value)}")
@@ -217,10 +217,18 @@ def _alpha_cells(method: Method, n: tuple[float, ...], level: float) -> Cells:
     return Cells(n, tuple(map(math.sqrt, shape)), root, *_std_quantiles(shape, level))
 
 
+def _fit(method: Method, n: tuple[float, ...], s: tuple[float, ...], level: float,
+         convention: PointConvention) -> tuple[Cells, Cells]:
+    """The fitting kernel on inputs already checked: members of Method and
+    PointConvention, a level in (0, 1), and float tuples of equal length with
+    whole counts n >= 1 and finite log sums s > 0."""
+    return _beta_cells(method, n, s, level, convention), _alpha_cells(method, n, level)
+
+
 def fit(method: Method, counts, log_sums, level: float,
         convention: PointConvention = PointConvention.MAP) -> tuple[Cells, Cells]:
-    """The fitting kernel: (beta cells, alpha cells) of one method, entry by
-    entry over lists or tuples of counts n >= 1 and log sums S > 0.
+    """(beta cells, alpha cells) of one method, entry by entry over lists or
+    tuples of counts n >= 1 and log sums S > 0: the kernel behind its checks.
 
     mle/cmle: points n/S or (n-1)/S and n, Wald intervals with se point/sqrt(n)
     and sqrt(n), not truncated at 0.  jeffreys/reference: equal-tail credible
@@ -231,17 +239,10 @@ def fit(method: Method, counts, log_sums, level: float,
     check_real(level, "level", high=1.0)
     check_sequence(counts, "counts")
     check_sequence(log_sums, "log sums")
-    try:
-        n, s = tuple(map(float, counts)), tuple(map(float, log_sums))
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(_input_fault(counts, log_sums)) from None
-    # Each test is one pass at C speed; NaN and the infinities fail is_integer and
-    # isfinite, and a string or a bool, which float() reads, fails the type test.
-    if not (len(n) == len(s) and all(map(float.is_integer, n)) and all(map(math.isfinite, s))
-            and all(map(_is_number_type, {*map(type, counts), *map(type, log_sums)}))
-            and min(n, default=1.0) >= 1.0 and min(s, default=1.0) > 0.0):
-        raise DomainError(_input_fault(counts, log_sums))
-    return _beta_cells(method, n, s, level, convention), _alpha_cells(method, n, level)
+    fault = _input_fault(counts, log_sums)
+    if fault:
+        raise DomainError(fault)
+    return _fit(method, tuple(map(float, counts)), tuple(map(float, log_sums)), level, convention)
 
 
 def build_estimate_table(stats: CauseStats,
@@ -256,52 +257,70 @@ def build_estimate_table(stats: CauseStats,
     failure for the bias-corrected method) are excluded from that method's
     rows and reported in the warnings instead of aborting the other causes,
     as is a MAP beta point of 0 (a single failure).  Raises EstimationError
-    when nothing at all is estimable.
+    when nothing at all is estimable: no failures, or no row for any method.
+    Rows run over betas then alphas, and within a parameter over the methods.
     """
     methods = _as_methods(methods)
     model, convention = _as(Model, model), _as(PointConvention, convention)
     check_real(level, "level", high=1.0)
-    if stats.n == 0:
-        raise EstimationError("no failures observed")
+    if not isinstance(stats, CauseStats):
+        raise DomainError(f"stats must be a CauseStats, got {type(stats).__name__}")
     pooled = model is Model.SHARED
+    try:  # a CauseStats has checked its entries, but not against the float range
+        n, s = tuple(map(float, stats.counts)), tuple(map(float, stats.log_sums))
+        total = (float(stats.n), stats.log_sum_total) if pooled else None
+    except OverflowError:
+        raise DomainError("a count or the pooled log sum is beyond the float range") from None
+    p = len(n)
+    usable = [j for j in range(p) if n[j]]
+    if not usable:
+        raise EstimationError("no failures observed")
     if pooled and Method.JEFFREYS in methods and set(methods) != set(ALL_METHODS):
         raise UnsupportedModelError("the shared-shape Jeffreys posterior has no closed form")
-    usable = [j for j in range(1, stats.num_causes + 1) if stats.counts[j - 1] >= 1]
-    warnings = [f"cause {j}: no failures observed; excluded from estimation"
-                for j in range(1, stats.num_causes + 1) if stats.counts[j - 1] == 0]
-    cells: dict[tuple[str, Method], tuple[float, ...]] = {}
-    for method in methods:
+    warnings = [f"cause {j + 1}: no failures observed; excluded from estimation"
+                for j in range(p) if not n[j]]
+    names = [f"beta_{j}" for j in range(1, p + 1)] + [f"alpha_{j}" for j in range(1, p + 1)]
+    if pooled:
+        names[0] = "beta"
+    slots = [None] * (2 * p * len(methods))  # parameter-major; None where excluded
+    bayes = False
+    for m, method in enumerate(methods):
         keep = usable
         if method is Method.JEFFREYS and pooled:
             keep = []
             warnings.append("jeffreys: no closed-form posterior under the shared-shape "
                             "model; rows omitted")
-        elif method is Method.CMLE and pooled and stats.n < 2:
+        elif method is Method.CMLE and pooled and total[0] < 2.0:
             keep = []
             warnings.append("fewer than 2 failures in total; bias-corrected rows omitted")
         elif method is Method.CMLE and not pooled:
-            keep = [j for j in usable if stats.counts[j - 1] >= 2]
-            warnings.extend(f"cause {j}: single failure; bias-corrected estimate "
+            keep = [j for j in usable if n[j] >= 2.0]
+            warnings.extend(f"cause {j + 1}: single failure; bias-corrected estimate "
                             "degenerates at 0; excluded from cmle rows"
-                            for j in usable if j not in keep)
+                            for j in usable if n[j] == 1.0)
         if not keep:
             continue
-        beta, alpha = fit(method, [stats.counts[j - 1] for j in keep],
-                          [stats.log_sums[j - 1] for j in keep], level, convention)
-        if pooled:
-            beta = fit(method, [stats.n], [stats.log_sum_total], level, convention)[0]
-        names = (["beta"] if pooled else [f"beta_{j}" for j in keep]) + [f"alpha_{j}" for j in keep]
-        cells.update(((name, method), row) for name, row in zip(names, [*zip(*beta), *zip(*alpha)]))
-    if convention is PointConvention.MAP and any(m in _ALPHA_SHAPE_OFFSET for _, m in cells):
-        if pooled:
-            single = ["beta"] if stats.n == 1 else []
+        bayes = bayes or method in _ALPHA_SHAPE_OFFSET
+        counts = tuple([n[j] for j in keep])
+        if pooled:  # one beta for all causes, from the pooled count and log sum
+            beta, alpha = (_beta_cells(method, total[:1], total[1:], level, convention),
+                           _alpha_cells(method, counts, level))
         else:
-            single = [f"cause {j}" for j in usable if stats.counts[j - 1] == 1]
+            beta, alpha = _fit(method, counts, tuple([s[j] for j in keep]), level, convention)
+        at = ([0] if pooled else keep) + [p + j for j in keep]
+        for j, row in zip(at, map(EstimateRow, [names[j] for j in at], repeat(method),
+                                  *map(tuple.__add__, beta, alpha), repeat(level))):
+            slots[j * len(methods) + m] = row
+    if bayes and convention is PointConvention.MAP:
+        if pooled:
+            single = ["beta"] if total[0] == 1.0 else []
+        else:
+            single = [f"cause {j + 1}" for j in usable if n[j] == 1.0]
         warnings.extend(f"{label}: single failure; the MAP beta point is 0 (posterior mode "
                         "at the boundary); use --point mean for the posterior mean"
                         for label in single)
-    names = ["beta"] if pooled else [f"beta_{j}" for j in usable]
-    names += [f"alpha_{j}" for j in usable]
-    rows = tuple(EstimateRow(name, method, *cells[name, method], level)
-                 for name in names for method in methods if (name, method) in cells)
+    rows = tuple(filter(None, slots))
+    if not rows:
+        raise EstimationError("nothing to estimate for the chosen methods: "
+                              + "; ".join(warnings))
     return EstimateTable(rows, tuple(warnings))

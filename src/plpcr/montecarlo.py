@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import (DomainError, StudyError, ValidationError, check_real, check_sequence,
                      check_whole)
-from .inference import ALL_METHODS, Method, _as_methods, fit
+from .inference import ALL_METHODS, Method, PointConvention, _as_methods, _fit
 from .model import PlpCauseParams, SystemParams
 
 _BLOCK = 65_536  # replications per random stream; part of the determinism contract
@@ -254,7 +254,8 @@ def _block_sums(scenario: Scenario, methods: tuple[Method, ...],
     log_sums = np.ascontiguousarray(log_sums.T)  # a no-op on _draw_block's layout
     mult = np.bincount((index + grid.size * np.arange(p)[:, None]).ravel(),  # rows per
                        minlength=p * grid.size).reshape(p, grid.size)  # (cause, count)
-    grid, unit = grid.tolist(), [1.0] * grid.size
+    # Whole counts >= 2 and unit log sums: the kernel's inputs, valid by construction.
+    grid, unit = tuple(map(float, grid.tolist())), (1.0,) * grid.size
 
     @cache  # each distinct cell set of a family is reduced once
     def reduce(beta: bool, *cells):  # a point: (rel, sq) sums; an interval (lo, hi): hits
@@ -268,7 +269,7 @@ def _block_sums(scenario: Scenario, methods: tuple[Method, ...],
         return _row_sums(x[0] / theta), _row_sums((x[0] - theta) ** 2)
 
     for m, method in enumerate(methods):
-        beta, alpha = fit(method, grid, unit, scenario.level)
+        beta, alpha = _fit(method, grid, unit, scenario.level, PointConvention.MAP)
         sums[:2, m, :p], sums[:2, m, p:] = reduce(True, beta.point), reduce(False, alpha.point)
         sums[2, m, :p] = reduce(True, beta.lo, beta.hi)
         sums[2, m, p:] = reduce(False, alpha.lo, alpha.hi)

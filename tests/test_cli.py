@@ -1,16 +1,21 @@
 """End-to-end command-line tests driven through main()."""
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plpcr import cli
 from plpcr.cli import main
 from plpcr.data import harvester_fixture, parse_history, serialize_history
+from plpcr.inference import EstimateRow, EstimateTable, Method
 
 CSV_COLUMNS = ["parameter", "method", "point", "sd", "sd_paper_compat",
                "ci_lo", "ci_hi", "level"]
@@ -243,6 +248,23 @@ class TestFit:
         assert code == 0
         assert err == ""
 
+    @pytest.mark.parametrize("text, extra", [
+        ("time,cause\n1.0,1\n2.0,2\n", []),
+        ("time,cause\n1.0,1\n", ["--model", "shared"]),
+    ])
+    def test_empty_table_is_an_error(self, capsys, tmp_path, text, extra):
+        # Every cause excluded from the one method chosen: one error record
+        # and status 1, not warnings and a table without rows.
+        path = tmp_path / "h.csv"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = _run(capsys, ["fit", "--input", str(path), "--truncation", "5",
+                                       "--methods", "cmle", "--format", "json", *extra])
+        assert (code, out) == (1, "")
+        (line_out,) = err.splitlines()
+        record = json.loads(line_out)["error"]
+        assert record["type"] == "EstimationError"
+        assert record["message"].startswith("nothing to estimate for the chosen methods: ")
+
     @pytest.mark.parametrize("command", ["fit", "duane"])
     def test_non_utf8_input_errors(self, capsys, tmp_path, command):
         path = tmp_path / "latin.csv"
@@ -260,6 +282,54 @@ class TestFit:
                                      "--methods", "bogus"])
         assert code != 0
         assert "unknown method" in json.loads(err.splitlines()[-1])["error"]["message"]
+
+
+def _indented_json(table: EstimateTable) -> str:
+    """The fit command's JSON as json.dumps(payload, indent=2) lays it out."""
+    payload = {"columns": list(EstimateRow._fields),
+               "rows": [{**r._asdict(), "method": r.method.value} for r in table.rows],
+               "warnings": list(table.warnings)}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64))
+# Quotes, backslashes, control characters, and text that looks like the layout.
+_TEXT = st.text(st.one_of(st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f",
+                                           "}", "{", ",", " ", "\u00e9", "\U0001f600"]),
+                          st.characters()), max_size=20)
+_ROWS = st.builds(EstimateRow, _TEXT, st.sampled_from(list(Method)),
+                  _CELLS, _CELLS, _CELLS, _CELLS, _CELLS, _CELLS)
+
+
+class TestJsonLayout:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(_ROWS, max_size=12), warnings=st.lists(_TEXT, max_size=3))
+    def test_bytes_equal_indented_dumps(self, rows, warnings):
+        table = EstimateTable(tuple(rows), tuple(warnings))
+        assert cli._table_json(table) == _indented_json(table)
+
+    def test_traced_names_are_looked_up_per_call(self, capsys, monkeypatch, tmp_path):
+        # A tracer times the layers by replacing these module attributes of
+        # cli; each must be looked up when fit runs, not bound at import.
+        calls = collections.Counter()
+        names = ("_table_text", "_table_csv", "_table_json", "build_estimate_table",
+                 "parse_history", "cause_stats")
+        for name in names:
+            def counting(*args, _name=name, _original=getattr(cli, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counting)
+        path = tmp_path / "harvester.csv"
+        path.write_text(serialize_history(harvester_fixture()), encoding="utf-8")
+        for fmt in ("table", "csv", "json"):
+            assert main(["fit", "--input", str(path), "--truncation", "254",
+                         "--format", fmt]) == 0
+        capsys.readouterr()
+        assert calls == {"_table_text": 1, "_table_csv": 1, "_table_json": 1,
+                         "build_estimate_table": 3, "parse_history": 3, "cause_stats": 3}
 
 
 class TestSimulate:

@@ -24,6 +24,7 @@ from plpcr.errors import (
 )
 from plpcr.inference import (
     ALL_METHODS,
+    EstimateRow,
     EstimateTable,
     Method,
     Model,
@@ -694,6 +695,29 @@ class TestEstimateTable:
         with pytest.raises(EstimationError, match="no failures"):
             build_estimate_table(stats)
 
+    def test_empty_table_raises(self):
+        # Every cause is excluded from every method chosen: an error that
+        # names why, not a table of no rows.
+        two = cause_stats(_history([(1.0, 1), (2.0, 2)], 5.0))
+        with pytest.raises(EstimationError, match=r"^nothing to estimate for the chosen "
+                                                  r"methods: cause 1: single failure.*; cause 2: "):
+            build_estimate_table(two, methods=(Method.CMLE,))
+        one = cause_stats(_history([(1.0, 1)], 5.0, p=2))
+        with pytest.raises(EstimationError, match="fewer than 2 failures in total"):
+            build_estimate_table(one, methods=(Method.CMLE,), model=Model.SHARED)
+        # One other method is enough for a table.
+        assert build_estimate_table(two, methods=(Method.CMLE, Method.MLE)).rows
+
+    def test_refuses_what_cause_stats_leaves_open(self):
+        # The table relies on a CauseStats having checked itself; a CauseStats
+        # bounds neither a count nor the pooled log sum by the float range.
+        with pytest.raises(DomainError, match="^stats must be a CauseStats, got tuple$"):
+            build_estimate_table(((3,), (1.0,), 10.0))
+        with pytest.raises(DomainError, match="beyond the float range"):
+            build_estimate_table(CauseStats((10**400,), (1.0,), 10.0))
+        with pytest.raises(DomainError, match="beyond the float range"):
+            build_estimate_table(CauseStats((2, 2), (1e308, 1e308), 10.0), model=Model.SHARED)
+
     def test_shared_model_table(self):
         table = build_estimate_table(_harvester_stats(), model=Model.SHARED)
         params = {r.parameter for r in table.rows}
@@ -815,3 +839,85 @@ class TestLabelInvariance:
         others = {key: row for key, row in _rows(full, rename).items()
                   if not key[0].endswith("_0")}
         assert _rows(part) == others
+
+
+_METHOD_NAMES = [*ALL_METHODS, *(m.value for m in ALL_METHODS)]
+
+
+@st.composite
+def _cause_stats(draw):
+    """1 to 4 causes with 0 to 60 failures each, 0 and 1 often."""
+    counts = draw(st.lists(st.one_of(st.sampled_from([0, 1]), st.integers(0, 60)),
+                           min_size=1, max_size=4))
+    log_sums = [draw(st.floats(1e-3, 1e3)) if n else 0.0 for n in counts]
+    return CauseStats(tuple(counts), tuple(log_sums), 1.0)
+
+
+def _rebuilt_table(stats, methods, model, level, convention):
+    """The estimate table rebuilt cause by cause from scalar_cells, by the
+    rules in build_estimate_table's docstring."""
+    methods = list(dict.fromkeys(Method(m) for m in methods))
+    pooled = model is Model.SHARED
+    total = sum(stats.counts)
+    if total == 0:
+        raise EstimationError("no failures observed")
+    if pooled and Method.JEFFREYS in methods and len(methods) < len(ALL_METHODS):
+        raise UnsupportedModelError("the shared-shape Jeffreys posterior has no closed form")
+    causes = [(j, n, s) for j, (n, s) in enumerate(zip(stats.counts, stats.log_sums), start=1)]
+    warnings = [f"cause {j}: no failures observed; excluded from estimation"
+                for j, n, _ in causes if n == 0]
+    cells = {}
+    for method in methods:
+        if pooled and method is Method.JEFFREYS:
+            warnings.append("jeffreys: no closed-form posterior under the shared-shape "
+                            "model; rows omitted")
+            continue
+        if pooled and method is Method.CMLE and total < 2:
+            warnings.append("fewer than 2 failures in total; bias-corrected rows omitted")
+            continue
+        if pooled:
+            cells["beta", method] = scalar_cells(method, total, math.fsum(stats.log_sums),
+                                                 level, convention)[0]
+        for j, n, s in causes:
+            if n == 1 and method is Method.CMLE and not pooled:
+                warnings.append(f"cause {j}: single failure; bias-corrected estimate "
+                                "degenerates at 0; excluded from cmle rows")
+            elif n:
+                beta, cells[f"alpha_{j}", method] = scalar_cells(method, n, s, level, convention)
+                if not pooled:
+                    cells[f"beta_{j}", method] = beta
+    if convention is PointConvention.MAP and any(
+            method in (Method.JEFFREYS, Method.REFERENCE) for _, method in cells):
+        single = (["beta"] if total == 1 else []) if pooled else [
+            f"cause {j}" for j, n, _ in causes if n == 1]
+        warnings.extend(f"{label}: single failure; the MAP beta point is 0 (posterior mode "
+                        "at the boundary); use --point mean for the posterior mean"
+                        for label in single)
+    names = ["beta"] if pooled else [f"beta_{j}" for j, _, _ in causes]
+    names += [f"alpha_{j}" for j, _, _ in causes]
+    rows = tuple(EstimateRow(name, method, *cells[name, method], level)
+                 for name in names for method in methods if (name, method) in cells)
+    if not rows:
+        raise EstimationError("nothing to estimate for the chosen methods: "
+                              + "; ".join(warnings))
+    return EstimateTable(rows, tuple(warnings))
+
+
+class TestTableAssembly:
+    @settings(max_examples=300, deadline=None)
+    @given(stats=_cause_stats(), methods=st.lists(st.sampled_from(_METHOD_NAMES), min_size=1,
+                                                  max_size=6),
+           model=st.sampled_from(list(Model)), level=st.sampled_from([0.5, 0.8, 0.95, 0.99]),
+           convention=st.sampled_from(list(PointConvention)))
+    def test_matches_scalar_rebuild(self, stats, methods, model, level, convention):
+        # Row order and membership, every float to the bit (repr round-trips a
+        # float and tells -0.0 and an int apart), the warnings, and the errors.
+        try:
+            want = _rebuilt_table(stats, methods, model, level, convention)
+        except EstimationError as exc:
+            with pytest.raises(EstimationError) as caught:
+                build_estimate_table(stats, methods, model, level, convention)
+            assert (type(caught.value), str(caught.value)) == (type(exc), str(exc))
+            return
+        got = build_estimate_table(stats, methods, model, level, convention)
+        assert repr(got) == repr(want)
