@@ -34,13 +34,6 @@ from .inference import (
     alpha_laws_from_counts,
     build_estimate_table,
     fit,
-    log_likelihood,
-)
-from .model import (
-    PlpCauseParams,
-    SystemParams,
-    cumulative_intensity,
-    intensity,
 )
 from .numerics import (
     GammaParams,
@@ -52,8 +45,8 @@ from .numerics import (
 __version__ = "0.1.0"
 
 # montecarlo, the one module that imports numpy, loads on first use of a name.
-_MONTECARLO_NAMES = ("McReport", "McRow", "PRESET_SCENARIOS", "Scenario", "make_scenario",
-                     "parse_scenario", "run_study")
+_MONTECARLO_NAMES = ("McReport", "McRow", "PRESET_SCENARIOS", "PlpCauseParams", "Scenario",
+                     "SystemParams", "make_scenario", "parse_scenario", "run_study")
 
 
 def __getattr__(name: str):

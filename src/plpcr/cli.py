@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from codecs import BOM_UTF8
 from pathlib import Path
 
 from .data import cause_stats, harvester_fixture, parse_history, serialize_history
@@ -47,11 +48,13 @@ def _warn_records(warnings) -> None:
 
 
 def _read_text(path) -> str:
+    """The file's UTF-8 text, without a leading byte-order mark (Excel and Notepad write one)."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-                              ) from None
+        with open(path, "rb") as f:  # the codec counts bytes from after a leading mark
+            start = exc.start + (len(BOM_UTF8) if f.read(len(BOM_UTF8)) == BOM_UTF8 else 0)
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {start})") from None
 
 
 def _load_history(args):

@@ -1,7 +1,9 @@
 """Estimators for competing-risk power-law processes.
 
 Every estimator depends on the data only through the per-cause counts n_j
-and log sums S_j = sum log(T/t), and each has a closed form in them:
+and log sums S_j = sum log(T/t), and each has a closed form in them, so the
+likelihood is never evaluated here (the test suite keeps it, to check that
+the MLE is its stationary point):
 
 * ``mle`` - maximum likelihood, beta_j = n_j / S_j, alpha_j = n_j;
 * ``cmle`` - the bias-corrected point (n_j - 1) / S_j with Wald intervals
@@ -36,18 +38,16 @@ from enum import Enum
 from itertools import repeat
 from typing import NamedTuple
 
-from .data import CauseStats, FailureHistory, cause_stats
+from .data import CauseStats
 from .errors import (
     DomainError,
     EstimationError,
     ImproperPosteriorError,
     UnsupportedModelError,
-    ValidationError,
     check_real,
     check_sequence,
     check_whole,
 )
-from .model import SystemParams
 from .numerics import GammaParams, _std_gamma_quantile, normal_quantile
 
 
@@ -129,30 +129,6 @@ def alpha_laws_from_counts(counts: tuple[int, ...] | list[int],
     for j, n in enumerate(check_sequence(counts, "counts", ImproperPosteriorError), start=1):
         check_whole(n, f"cause {j}: count", ImproperPosteriorError)
     return tuple(GammaParams(n + offset, 1.0) for n in counts)
-
-
-def log_likelihood(params: SystemParams, history: FailureHistory) -> float:
-    """Exact log-likelihood of a parameter vector for one observed history.
-
-    In the (beta, alpha) parameterization this is
-    sum_j [n_j log beta_j - beta_j S_j + n_j log alpha_j - alpha_j] minus the
-    sum of log failure times; the last term does not involve the parameters
-    but keeps values comparable across parameterizations.
-    """
-    if params.num_causes != history.num_causes:
-        raise ValidationError(
-            f"parameter vector has {params.num_causes} causes, history has {history.num_causes}")
-    if params.truncation_time != history.truncation_time:
-        raise ValidationError(
-            f"truncation time mismatch: params {params.truncation_time}, "
-            f"history {history.truncation_time}")
-    stats = cause_stats(history)
-    total = 0.0
-    for cause, n, s in zip(params.causes, stats.counts, stats.log_sums):
-        total += n * math.log(cause.beta) - cause.beta * s
-        total += n * math.log(cause.alpha) - cause.alpha
-    total -= math.fsum(math.log(r.time) for r in history.records)
-    return total
 
 
 class Cells(NamedTuple):

@@ -1,12 +1,16 @@
 """Replication studies: estimator comparison over simulated sufficient statistics.
 
-Every estimator depends on a history only through the per-cause counts n_j
-and log sums S_j = sum log(T/t), so a replication draws those directly: a
-Poisson(alpha_j) count per cause and, given it, S_j ~ Gamma(n_j, rate beta_j),
-the exact law of the log sum under the time-truncated power-law process
-(the chi-square pivot of Crow 1974).  Replications with some n_j < 2 are
-discarded.  Each method is fitted once per distinct count in a block of
-replications, at unit log sum: given n_j, beta_j * S_j ~ Gamma(n_j, 1), so a
+A study's true parameters give each failure cause a shape beta and an
+expected count alpha over the observation window (0, T], that is the
+intensity (beta * alpha / T) * (t / T)^(beta - 1); this (beta, alpha) pair is
+the only parameterization the package uses.  Every estimator depends on a
+history only through the per-cause counts n_j and log sums
+S_j = sum log(T/t), so a replication draws those directly: a Poisson(alpha_j)
+count per cause and, given it, S_j ~ Gamma(n_j, rate beta_j), the exact law
+of the log sum under the time-truncated power-law process (the chi-square
+pivot of Crow 1974).  Replications with some n_j < 2 are discarded.  Each
+method is fitted once per distinct count in a block of replications, at
+unit log sum: given n_j, beta_j * S_j ~ Gamma(n_j, 1), so a
 row's beta cells are the cells at its counts scaled by 1/S_j, and its alpha
 cells depend on the counts alone.  Points are scored by mean relative error
 and mean squared error and intervals by coverage, each distinct cell set once
@@ -24,6 +28,7 @@ there is one execution path, whatever the worker count.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache
 
@@ -32,9 +37,46 @@ import numpy as np
 from .errors import (DomainError, StudyError, ValidationError, check_real, check_sequence,
                      check_whole)
 from .inference import ALL_METHODS, Method, PointConvention, _as_methods, _fit
-from .model import PlpCauseParams, SystemParams
 
 _BLOCK = 65_536  # replications per random stream; part of the determinism contract
+
+
+class PlpCauseParams(namedtuple("PlpCauseParams", "beta alpha")):
+    """Parameters of one cause: shape beta, expected count alpha on (0, T]."""
+
+    __slots__ = ()
+
+    def __new__(cls, beta: float, alpha: float):
+        self = super().__new__(cls, beta, alpha)
+        check_real(self.beta, "beta")
+        check_real(self.alpha, "alpha")
+        return self
+
+    # _replace builds through _make; this runs both through __new__'s checks.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+
+class SystemParams(namedtuple("SystemParams", "causes truncation_time")):
+    """A series system of causes observed on (0, truncation_time]; cause j is
+    the j-th entry of `causes`."""
+
+    __slots__ = ()
+
+    def __new__(cls, causes: tuple[PlpCauseParams, ...], truncation_time: float):
+        self = super().__new__(cls, causes, truncation_time)
+        if len(check_sequence(self.causes, "causes")) < 1:
+            raise DomainError("a system needs at least one cause")
+        for j, cause in enumerate(self.causes, start=1):
+            if not isinstance(cause, PlpCauseParams):
+                raise DomainError(f"cause {j} must be a PlpCauseParams, got {type(cause).__name__}")
+        check_real(self.truncation_time, "truncation_time")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    @property
+    def num_causes(self) -> int:
+        return len(self.causes)
 
 
 @dataclass(frozen=True)
@@ -48,9 +90,13 @@ class Scenario:
     name: str | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.params, SystemParams):
+            raise DomainError(f"params must be a SystemParams, got {type(self.params).__name__}")
         check_whole(self.replications, "replications")
         check_whole(self.master_seed, "master_seed", low=0, high=2**64 - 1)
         check_real(self.level, "level", high=1.0)
+        if self.name is not None and not isinstance(self.name, str):
+            raise DomainError(f"name must be a str or None, got {type(self.name).__name__}")
 
 
 @dataclass(frozen=True)
@@ -137,8 +183,8 @@ def make_scenario(betas, alphas, T, replications=10_000, seed=42, level=0.95,
         if len(check_sequence(alphas, "alpha")) != len(betas):
             raise ValidationError(f"alpha must be as long as beta, got {len(alphas)} "
                                   f"and {len(betas)} entries")
-        causes = tuple(PlpCauseParams(_number("beta", b), _number("alpha", a), j)
-                       for j, (b, a) in enumerate(zip(betas, alphas), start=1))
+        causes = tuple(PlpCauseParams(_number("beta", b), _number("alpha", a))
+                       for b, a in zip(betas, alphas))
         return Scenario(SystemParams(causes, _number("T", T)),
                         _number("replications", replications, integral=True),
                         _number("seed", seed, integral=True), _number("level", level), name)

@@ -39,13 +39,13 @@ def simulate_history(scenario, gen: np.random.Generator) -> FailureHistory:
     T = system.truncation_time
     all_times: list[np.ndarray] = []
     all_causes: list[np.ndarray] = []
-    for cause in system.causes:
+    for label, cause in enumerate(system.causes, start=1):
         count = int(gen.poisson(cause.alpha))
         if count == 0:
             continue
         u = uniforms(gen, count)
         all_times.append(T * u ** (1.0 / cause.beta))
-        all_causes.append(np.full(count, cause.cause_id, dtype=np.int64))
+        all_causes.append(np.full(count, label, dtype=np.int64))
     if not all_times:
         return FailureHistory((), T, system.num_causes)
     times = np.concatenate(all_times)

@@ -5,7 +5,8 @@ forms in (n, S): the MLE n/S, the CMLE and the posterior mode (n - 1)/S, the
 posterior mean n/S, and the gamma laws Gamma(n, S) and Gamma(n + 1 or
 n + 1/2, 1).  Its arithmetic is the kernel's, so the two agree to the bit.
 `block_sums` gathers every method's cells per replication and sums them;
-the engine's block sums must equal it to the bit.
+the engine's block sums must equal it to the bit.  `log_likelihood`, which
+the package never evaluates, checks that the MLE is its stationary point.
 """
 from __future__ import annotations
 
@@ -54,3 +55,19 @@ def block_sums(scenario, methods, counts, log_sums):
         sums[0, m], sums[1, m] = np.sum(point / truth, axis=0), np.sum((point - truth) ** 2, axis=0)
         sums[2, m] = np.sum((lo <= truth) & (truth <= hi), axis=0)
     return sums
+
+
+def log_likelihood(betas, alphas, history) -> float:
+    """Exact log-likelihood of per-cause shapes and expected counts for one history.
+
+    In the (beta, alpha) parameterization this is
+    sum_j [n_j log beta_j - beta_j S_j + n_j log alpha_j - alpha_j] minus the
+    sum of log failure times, with n_j and S_j taken from the records here,
+    not from `cause_stats`.
+    """
+    T = history.truncation_time
+    total = 0.0
+    for j, (beta, alpha) in enumerate(zip(betas, alphas, strict=True), start=1):
+        logs = [math.log(T / r.time) for r in history.records if r.cause == j]
+        total += len(logs) * (math.log(beta) + math.log(alpha)) - beta * math.fsum(logs) - alpha
+    return total - math.fsum(math.log(r.time) for r in history.records)

@@ -277,6 +277,32 @@ class TestFit:
         assert record["type"] == "ValidationError"
         assert str(path) in record["message"]
 
+    @pytest.mark.parametrize("command", ["fit", "duane"])
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path, command):
+        # Excel's "CSV UTF-8" and Notepad start a file with a UTF-8 byte-order mark.
+        text = serialize_history(harvester_fixture())
+        runs = []
+        for name, encoding in (("plain.csv", "utf-8"), ("marked.csv", "utf-8-sig")):
+            path = tmp_path / name
+            path.write_text(text, encoding=encoding)
+            runs.append(_run(capsys, [command, "--input", str(path), "--truncation", "254"]))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][2] == ""
+
+    def test_only_a_leading_byte_order_mark_is_dropped(self, capsys, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text("\ufefftime,cause\n1.0,1\n", encoding="utf-8-sig")
+        code, out, err = _run(capsys, ["fit", "--input", str(path), "--truncation", "10"])
+        assert (code, out) == (1, "")
+        assert "got ['\\ufefftime', 'cause']" in json.loads(err)["error"]["message"]
+
+    def test_non_utf8_offset_counts_the_byte_order_mark(self, capsys, tmp_path):
+        path = tmp_path / "marked.csv"
+        path.write_bytes(b"\xef\xbb\xbftime,cause\n1.0,1\n\xff\n")
+        code, out, err = _run(capsys, ["fit", "--input", str(path), "--truncation", "10"])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"]["message"].endswith("(invalid start byte at byte 20)")
+
     def test_unknown_method_errors(self, capsys):
         code, _, err = _run(capsys, ["fit", "--fixtures", "harvester",
                                      "--methods", "bogus"])
@@ -348,6 +374,18 @@ class TestSimulate:
         code, out, _ = _run(capsys, ["simulate", "--scenario", str(path)])
         assert code == 0
         assert "# replications=256" in out
+
+    def test_scenario_file_with_byte_order_mark(self, capsys, tmp_path):
+        text = ("beta = [1.5, 1.0]\nalpha = [6.45, 2.75]\nT = 5.5\n"
+                "replications = 256\nseed = 11\n")
+        runs = []
+        for folder, encoding in (("plain", "utf-8"), ("marked", "utf-8-sig")):
+            path = tmp_path / folder / "custom.scenario"  # the stem names the report
+            path.parent.mkdir()
+            path.write_text(text, encoding=encoding)
+            runs.append(_run(capsys, ["simulate", "--scenario", str(path)]))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and "# scenario=custom" in runs[0][1]
 
     @pytest.mark.parametrize("line", ['replications = "many"', "T = 'x'", "seed = 1.9",
                                       "replications = 3.7", "replications = True",

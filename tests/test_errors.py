@@ -25,8 +25,8 @@ from plpcr.errors import (
     check_whole,
 )
 from plpcr.inference import Method, alpha_laws_from_counts, build_estimate_table, fit
-from plpcr.model import PlpCauseParams, SystemParams, cumulative_intensity, intensity
-from plpcr.montecarlo import PRESET_SCENARIOS, Scenario, make_scenario, run_study
+from plpcr.montecarlo import (PRESET_SCENARIOS, PlpCauseParams, Scenario, SystemParams,
+                              make_scenario, run_study)
 from plpcr.numerics import GammaParams, gamma_quantile, normal_quantile, reg_gamma_p
 
 _CAUSE = PlpCauseParams(1.0, 1.0)
@@ -40,10 +40,6 @@ REAL_ENTRIES = {
     "PlpCauseParams beta": (lambda v: PlpCauseParams(v, 1.0), DomainError),
     "PlpCauseParams alpha": (lambda v: PlpCauseParams(1.0, v), DomainError),
     "SystemParams truncation_time": (lambda v: SystemParams((_CAUSE,), v), DomainError),
-    "intensity T": (lambda v: intensity(_CAUSE, v, 0.25), DomainError),
-    "intensity t": (lambda v: intensity(_CAUSE, 1.0, v), DomainError),
-    "cumulative_intensity T": (lambda v: cumulative_intensity(_CAUSE, v, 0.25), DomainError),
-    "cumulative_intensity t": (lambda v: cumulative_intensity(_CAUSE, 1.0, v), DomainError),
     "GammaParams shape": (lambda v: GammaParams(v, 1.0), DomainError),
     "GammaParams rate": (lambda v: GammaParams(1.0, v), DomainError),
     "gamma_quantile q": (lambda v: gamma_quantile(GammaParams(2.0, 1.0), v), DomainError),
@@ -68,7 +64,6 @@ REAL_ENTRIES = {
                                       ValidationError),
 }
 WHOLE_ENTRIES = {
-    "PlpCauseParams cause_id": (lambda v: PlpCauseParams(1.0, 1.0, v), DomainError),
     "Scenario replications": (lambda v: Scenario(_SMALL.params, v, 1), DomainError),
     "Scenario master_seed": (lambda v: Scenario(_SMALL.params, 64, v), DomainError),
     "run_study workers": (lambda v: run_study(_SMALL, workers=v), DomainError),
@@ -132,7 +127,7 @@ def test_entry_accepts_valid_value(call, value):
     lambda: run_study(_SMALL, workers=True),
     lambda: duane_points(_HARVESTER, True),
     lambda: alpha_laws_from_counts((True,)),
-    lambda: cumulative_intensity(_CAUSE, 1.0, True),
+    lambda: Scenario(_SMALL.params, 64, 1, 0.95, 3),
     lambda: reg_gamma_p(True, 1.0),
     lambda: parse_history("time,cause\n1.0,1\n", 10.0, num_causes="3"),
     lambda: normal_quantile("0.5"),
@@ -159,6 +154,10 @@ def test_former_silent_or_untyped_inputs(call):
                  id="SystemParams causes"),
     pytest.param(lambda: SystemParams((_CAUSE, 3), 1.0), DomainError,
                  "cause 2 must be a PlpCauseParams, got int", id="SystemParams cause"),
+    pytest.param(lambda: Scenario("x", 10, 1), DomainError,
+                 "^params must be a SystemParams, got str$", id="Scenario params"),
+    pytest.param(lambda: Scenario(None, 10, 1, 0.95, 3), DomainError,
+                 "^params must be a SystemParams, got NoneType$", id="Scenario params None"),
     pytest.param(lambda: alpha_laws_from_counts(5), ImproperPosteriorError,
                  "counts must be a sequence", id="alpha_laws_from_counts counts"),
     pytest.param(lambda: FailureHistory(5, 10.0, 1), ValidationError,

@@ -76,11 +76,21 @@ def test_study_names_load_on_first_use():
     assert plpcr.run_study is montecarlo.run_study
     assert plpcr.PRESET_SCENARIOS is montecarlo.PRESET_SCENARIOS
     assert McReport is montecarlo.McReport
+    assert PlpCauseParams is plpcr.PlpCauseParams is montecarlo.PlpCauseParams
+    assert SystemParams is plpcr.SystemParams is montecarlo.SystemParams
     listed = dir(plpcr)
-    assert {"run_study", "PRESET_SCENARIOS", "McReport", "fit", "__version__"} <= set(listed)
+    assert {"run_study", "PRESET_SCENARIOS", "McReport", "PlpCauseParams", "SystemParams",
+            "fit", "__version__"} <= set(listed)
     assert listed == sorted(listed)
     with pytest.raises(AttributeError, match="has no attribute 'bogus'"):
         plpcr.bogus
+
+
+def test_every_listed_name_resolves():
+    # A name in dir(plpcr), lazily loaded or not, that getattr cannot reach
+    # would be a stale entry in _MONTECARLO_NAMES or a broken import.
+    missing = [name for name in dir(plpcr) if not hasattr(plpcr, name)]
+    assert missing == []
 
 
 _DEFERRED = ("numpy", "dataclasses")  # the modules only montecarlo may import on load
@@ -132,7 +142,7 @@ _CHECKED = [
     (FailureHistory(_RECORDS, 10.0, 2), "records", _RECORDS[::-1], ValidationError),
     (CauseStats((2, 0), (1.5, 0.0), 10.0), "log_sums", (1.5, 0.5), DomainError),
     (GammaParams(2.5, 1.0), "rate", 0.0, DomainError),
-    (PlpCauseParams(1.5, 6.45, 1), "cause_id", True, DomainError),
+    (PlpCauseParams(1.5, 6.45), "alpha", True, DomainError),
     (SystemParams((PlpCauseParams(1.5, 6.45),), 5.5), "truncation_time", math.nan, DomainError),
 ]
 _ROW = EstimateRow("beta_1", Method.MLE, 1.0, 0.5, 0.5, 0.1, 1.9, 0.95)

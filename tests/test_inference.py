@@ -1,6 +1,7 @@
 """Estimator tests: closed-form MLEs, bias correction, posterior laws,
-intervals, and the log-likelihood, each through the kernel `fit` or the
-estimate table and checked against an independent computation."""
+intervals, and the MLE as the log-likelihood's stationary point, each through
+the kernel `fit` or the estimate table and checked against an independent
+computation."""
 from __future__ import annotations
 
 import itertools
@@ -20,7 +21,6 @@ from plpcr.errors import (
     EstimationError,
     ImproperPosteriorError,
     UnsupportedModelError,
-    ValidationError,
 )
 from plpcr.inference import (
     ALL_METHODS,
@@ -32,11 +32,9 @@ from plpcr.inference import (
     alpha_laws_from_counts,
     build_estimate_table,
     fit,
-    log_likelihood,
 )
-from plpcr.model import PlpCauseParams, SystemParams, cumulative_intensity, intensity
 from plpcr.numerics import GammaParams, gamma_quantile, reg_gamma_p
-from reference import scalar_cells
+from reference import log_likelihood, scalar_cells
 
 E = math.e
 
@@ -571,40 +569,37 @@ class TestFitKernel:
 class TestLogLikelihood:
     def test_empty_history_is_minus_alpha(self):
         history = FailureHistory((), 10.0, 1)
-        params = SystemParams((PlpCauseParams(1.3, 2.5),), 10.0)
-        assert log_likelihood(params, history) == -2.5
+        assert log_likelihood([1.3], [2.5], history) == -2.5
 
     def test_single_record_closed_form(self):
         T = 10.0
         history = _history([(T / E, 1)], T)
-        params = SystemParams((PlpCauseParams(1.0, 1.0),), T)
         # log intensity at the failure minus the expected total count.
         expected = -math.log(T) - 1.0
-        assert abs(log_likelihood(params, history) - expected) < 1e-12
+        assert abs(log_likelihood([1.0], [1.0], history) - expected) < 1e-12
 
     def test_agrees_with_pointwise_construction(self):
-        # Independent oracle: sum of log cause-specific intensities at the
-        # failures minus the summed cumulative intensities at T.
+        # Independent oracle: sum of the log cause-specific intensities
+        # (beta * alpha / T) * (t / T)^(beta - 1) at the failures minus the
+        # expected counts on (0, T], alpha * (T / T)^beta = alpha.
         history = harvester_fixture()
         T = history.truncation_time
-        causes = (PlpCauseParams(0.6, 9.0, 1), PlpCauseParams(1.1, 25.0, 2),
-                  PlpCauseParams(1.4, 13.0, 3))
-        params = SystemParams(causes, T)
-        direct = sum(math.log(intensity(causes[r.cause - 1], T, r.time))
+        beta, alpha = (0.6, 1.1, 1.4), (9.0, 25.0, 13.0)
+        direct = sum(math.log(beta[r.cause - 1] * alpha[r.cause - 1] / T
+                              * (r.time / T) ** (beta[r.cause - 1] - 1.0))
                      for r in history.records)
-        direct -= sum(cumulative_intensity(c, T, T) for c in causes)
-        assert abs(log_likelihood(params, history) - direct) < 1e-9
+        direct -= sum(alpha)
+        assert abs(log_likelihood(beta, alpha, history) - direct) < 1e-9
 
     def test_maximized_at_mle(self):
         history = harvester_fixture()
         stats = cause_stats(history)
         beta, alpha = (list(cells.point) for cells in _cells(stats, Method.MLE))
-        at_mle = log_likelihood(_params_from(beta, alpha, stats.truncation_time), history)
+        at_mle = log_likelihood(beta, alpha, history)
         for db in (-0.01, 0.01):
             for da in (-0.1, 0.1):
-                perturbed = _params_from([b + db for b in beta], [a + da for a in alpha],
-                                         stats.truncation_time)
-                assert log_likelihood(perturbed, history) <= at_mle
+                assert log_likelihood([b + db for b in beta], [a + da for a in alpha],
+                                      history) <= at_mle
 
     def test_gradient_zero_at_mle(self):
         history = harvester_fixture()
@@ -616,25 +611,10 @@ class TestLogLikelihood:
                 def value(eps: float) -> float:
                     beta, alpha = (list(points) for points in mle)
                     (beta, alpha)[family][j] += eps
-                    return log_likelihood(_params_from(beta, alpha, stats.truncation_time),
-                                          history)
+                    return log_likelihood(beta, alpha, history)
 
                 gradient = (value(step) - value(-step)) / (2.0 * step)
                 assert abs(gradient) < 1e-6
-
-    def test_mismatch_rejected(self):
-        history = harvester_fixture()
-        params = SystemParams((PlpCauseParams(1.0, 1.0),), 254.0)
-        with pytest.raises(ValidationError):
-            log_likelihood(params, history)
-        params3 = SystemParams(tuple(PlpCauseParams(1.0, 1.0, j) for j in (1, 2, 3)), 99.0)
-        with pytest.raises(ValidationError):
-            log_likelihood(params3, history)
-
-
-def _params_from(beta, alpha, T):
-    return SystemParams(
-        tuple(PlpCauseParams(b, a, j + 1) for j, (b, a) in enumerate(zip(beta, alpha))), T)
 
 
 class TestConditionalUnbiasedness:

@@ -1,5 +1,6 @@
-"""History generation and study-engine tests: distributional oracles,
-pairing/discard bookkeeping, and worker-independent determinism."""
+"""Study parameter types, history generation and study-engine tests:
+distributional oracles, pairing/discard bookkeeping, and worker-independent
+determinism."""
 from __future__ import annotations
 
 import itertools
@@ -21,12 +22,30 @@ from plpcr.montecarlo import (
     PRESET_SCENARIOS,
     McReport,
     McRow,
+    PlpCauseParams,
     Scenario,
+    SystemParams,
     make_scenario,
     parse_scenario,
     run_study,
 )
 from reference import block_sums, scalar_cells
+
+
+class TestSystemParams:
+    def test_rejects_invalid_cause_params(self):
+        with pytest.raises(DomainError):
+            PlpCauseParams(-1.0, 1.0)
+        with pytest.raises(DomainError):
+            PlpCauseParams(1.0, 0.0)
+        # bool is an int subclass; a flag is never a shape or a count.
+        for args in ((True, 1.0), (1.0, True), ("1.5", 1.0), (1.0, None),
+                     (np.float32(1.5), 1.0), (math.nan, 1.0), (1.0, math.inf)):
+            with pytest.raises(DomainError, match="must be a positive"):
+                PlpCauseParams(*args)
+        for T in (True, "5.5", None):
+            with pytest.raises(DomainError, match="truncation_time"):
+                SystemParams((PlpCauseParams(1.0, 1.0),), T)
 
 
 class TestSimulateHistory:
@@ -186,6 +205,12 @@ class TestScenarios:
             Scenario(params, True, 1)
         with pytest.raises(DomainError):
             Scenario(params, 10, True)
+        # A Scenario built directly checks its parameters and its name too.
+        with pytest.raises(DomainError, match="^params must be a SystemParams, got str$"):
+            Scenario("x", 10, 1)
+        with pytest.raises(DomainError, match="^name must be a str or None, got int$"):
+            Scenario(params, 10, 1, 0.95, 3)
+        assert Scenario(params, 10, 1, name="mine").name == "mine"
         for kwargs in ({"betas": (True,)}, {"alphas": (True,)}, {"T": True},
                        {"replications": True}, {"seed": True}, {"level": True},
                        {"seed": np.int64(3)}, {"T": Fraction(11, 2)}):

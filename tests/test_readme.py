@@ -1,6 +1,7 @@
 """The README is the contract: its python examples run, in order, in one
 namespace, and every expression whose comment is a number or a tuple of
-numbers evaluates to that value at the printed precision."""
+numbers evaluates to that value at the printed precision; its Layout table
+names the package's modules."""
 from __future__ import annotations
 
 import ast
@@ -45,3 +46,12 @@ def test_readme_examples_run_and_print_their_comments():
                 exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
     # The examples keep the values the published tables print.
     assert (5.141, 17.739) in checked and (80.913,) in checked, checked
+
+
+def test_layout_table_lists_every_module():
+    # The Layout table's `plpcr.<module>` rows name exactly the package's modules.
+    layout = README.read_text(encoding="utf-8").partition("## Layout")[2]
+    rows = re.findall(r"^\| `plpcr\.(\w+)` \|", layout, re.M)
+    package = README.parent / "src" / "plpcr"
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__", "__main__"}
+    assert sorted(rows) == sorted(modules)
