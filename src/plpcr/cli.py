@@ -31,11 +31,20 @@ from .inference import (
 _FIXTURES = {"harvester": harvester_fixture}
 
 
+def _io_fault(path, action: str, exc: OSError) -> ValidationError:
+    """A read or write fault as a ValidationError naming the path and the OS reason."""
+    return ValidationError(f"{path}: cannot {action} ({exc.strerror or exc})")
+
+
 def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    try:
+        if output:
+            Path(output).write_text(text, encoding="utf-8")
+        else:  # flushed here, so that a full disk or a closed pipe is reported too
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        raise _io_fault(output or "stdout", "write", exc) from None
 
 
 def _error_record(kind: str, message: str) -> None:
@@ -51,6 +60,8 @@ def _read_text(path) -> str:
     """The file's UTF-8 text, without a leading byte-order mark (Excel and Notepad write one)."""
     try:
         return Path(path).read_text(encoding="utf-8-sig")
+    except OSError as exc:
+        raise _io_fault(path, "read", exc) from None
     except UnicodeDecodeError as exc:
         with open(path, "rb") as f:  # the codec counts bytes from after a leading mark
             start = exc.start + (len(BOM_UTF8) if f.read(len(BOM_UTF8)) == BOM_UTF8 else 0)
@@ -275,9 +286,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except PlpcrError as exc:
         _error_record(type(exc).__name__, str(exc))
-        return 1
-    except OSError as exc:
-        _error_record("OSError", str(exc))
         return 1
 
 

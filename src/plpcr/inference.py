@@ -23,12 +23,14 @@ difference is the alpha shape offset in ``_ALPHA_SHAPE_OFFSET``, and every
 public entry accepts a ``Model``, ``Method`` or ``PointConvention`` member or
 its value, refusing any other value with a DomainError.  Every cell of an
 estimate table or a replication study comes from one kernel, ``_fit``, plain
-``math`` over float tuples of counts and log sums (the pooled beta of the
-shared-shape model is its beta half on one entry), so fitting never imports
-numpy.  The public ``fit`` checks its inputs and calls the kernel;
+``math`` over float tuples of counts and log sums, whose beta and alpha halves
+are ``_beta_cells`` and ``_alpha_cells`` (the pooled beta of the shared-shape
+model is the beta half on one entry), so fitting never imports numpy.  The
+public ``fit`` checks its inputs and calls the kernel;
 ``build_estimate_table``, whose statistics a ``CauseStats`` has checked, and
 the study engine, whose counts are drawn valid, check each table or block
-once and call the kernel directly.
+once and call the kernel directly.  ``_FAMILY`` states which methods share
+their beta or alpha cells; the engine fits each such family once per block.
 """
 from __future__ import annotations
 
@@ -74,6 +76,13 @@ ALL_METHODS: tuple[Method, ...] = (Method.MLE, Method.CMLE, Method.JEFFREYS, Met
 
 # The Bayes methods; the alpha posterior of cause j is Gamma(n_j + offset, 1).
 _ALPHA_SHAPE_OFFSET = {Method.JEFFREYS: 1.0, Method.REFERENCE: 0.5}
+
+# The cell families: each method's (beta family, alpha family), each family named
+# by its first method.  Both priors give the beta marginal Gamma(n, S), and mle and
+# cmle share the Wald alpha interval around n, so a study fits each family once.
+_FAMILY = {Method.MLE: (Method.MLE, Method.MLE), Method.CMLE: (Method.CMLE, Method.MLE),
+           Method.JEFFREYS: (Method.JEFFREYS, Method.JEFFREYS),
+           Method.REFERENCE: (Method.JEFFREYS, Method.REFERENCE)}
 
 
 class EstimateRow(NamedTuple):

@@ -6,37 +6,45 @@ intensity (beta * alpha / T) * (t / T)^(beta - 1); this (beta, alpha) pair is
 the only parameterization the package uses.  Every estimator depends on a
 history only through the per-cause counts n_j and log sums
 S_j = sum log(T/t), so a replication draws those directly: a Poisson(alpha_j)
-count per cause and, given it, S_j ~ Gamma(n_j, rate beta_j), the exact law
-of the log sum under the time-truncated power-law process (the chi-square
-pivot of Crow 1974).  Replications with some n_j < 2 are discarded.  Each
-method is fitted once per distinct count in a block of replications, at
-unit log sum: given n_j, beta_j * S_j ~ Gamma(n_j, 1), so a
-row's beta cells are the cells at its counts scaled by 1/S_j, and its alpha
-cells depend on the counts alone.  Points are scored by mean relative error
-and mean squared error and intervals by coverage, each distinct cell set once
-per block (cmle and map beta points, Bayes beta intervals, every alpha point,
-mle and cmle alpha intervals); alpha hits are counted per distinct count.  No
-event history is built; the tests check the sampler against one that is.
+count per cause and, given it, the unit-rate gamma G_j = beta_j * S_j ~
+Gamma(n_j, 1), the exact law of the scaled log sum under the time-truncated
+power-law process (the chi-square pivot of Crow 1974).  Replications with
+some n_j < 2 are discarded.  No event history is built; the tests check the
+sampler against one that is.
+
+Every cell is a function of G and the count alone, beta entering only as the
+scale of the squared error.  A beta point is c_n / S_j, with c_n the method's
+point at unit log sum, so its relative error is c_n / G_j, and its interval
+covers beta exactly when lo_n <= G_j <= hi_n; alpha cells depend on the
+counts alone.  A block of replications is therefore reduced once, whatever
+the methods, to per-(cause, distinct count) tables: the row count k_n,
+W_n = sum 1/G and the centred V_n = sum (1/G - W_n/k_n)^2.  Per method,
+sum rel = sum_n c_n W_n and sum sq = beta^2 sum_n [c_n^2 V_n +
+k_n (c_n W_n/k_n - 1)^2]; alpha points and hits are taken per count and
+weighted by k_n, and only beta hits compare each row.  Each beta family and
+each alpha family (``inference._FAMILY``) is fitted once per block, at the
+block's distinct counts and unit log sums.
 
 Determinism contract: replications are drawn in blocks of a fixed 65,536,
-block b from the random stream keyed by (master_seed, b).  A block is held
-cause-major, and each cause's float sums add its replications in block
-order, for every number of causes; block sums are added in block order.  A
-report is therefore a pure function of the scenario and the method set;
-there is one execution path, whatever the worker count.
+block b from the random stream keyed by (master_seed, b).  Within a block,
+each table adds its rows in block order, one cause after the other, and each
+report cell adds a cause's table entries in ascending order of the count;
+block sums are added in block order.  A report is therefore a pure function
+of the scenario and the method set; there is one execution path, whatever
+the worker count.
 """
 from __future__ import annotations
 
 import json
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
 from .errors import (DomainError, StudyError, ValidationError, check_real, check_sequence,
                      check_whole)
-from .inference import ALL_METHODS, Method, PointConvention, _as_methods, _fit
+from .inference import (_FAMILY, ALL_METHODS, Method, PointConvention, _alpha_cells,
+                        _as_methods, _beta_cells)
 
 _BLOCK = 65_536  # replications per random stream; part of the determinism contract
 
@@ -257,10 +265,10 @@ def _draw_block(scenario: Scenario, block: int, size: int) -> tuple[np.ndarray, 
     """Sufficient statistics of `size` replications drawn from one stream.
 
     Per replication and cause a Poisson(alpha_j) count n_j; replications with
-    some n_j < 2 are discarded; the kept rows then get their log sums
-    S_j ~ Gamma(n_j, rate beta_j), which is the law of sum log(T/t) over the
-    n_j times T * U^(1/beta_j).  Returns the kept (counts, log sums) rows, one
-    column per cause, and the discard count.
+    some n_j < 2 are discarded; the kept rows then get their unit-rate gammas
+    G_j = beta_j * S_j ~ Gamma(n_j, 1), where S_j has the law of sum log(T/t)
+    over the n_j times T * U^(1/beta_j).  Returns the kept (counts, gammas)
+    rows, one column per cause, and the discard count.
     """
     causes = scenario.params.causes
     key = np.array([scenario.master_seed, block], dtype=np.uint64)
@@ -272,53 +280,76 @@ def _draw_block(scenario: Scenario, block: int, size: int) -> tuple[np.ndarray, 
         raise DomainError(f"alpha = {alphas} is beyond the Poisson sampler's range "
                           f"({exc})") from None
     counts = counts[np.logical_and.reduce([n >= 2 for n in counts.T])]
-    # The log sums are stored cause-major and returned as a (rows, causes) view,
+    # The gammas are stored cause-major and returned as a (rows, causes) view,
     # so that _block_sums reads each cause's column as contiguous memory.
-    log_sums = np.empty((len(causes), len(counts)))
-    np.divide(gen.standard_gamma(counts).T, np.array([[c.beta] for c in causes]), out=log_sums)
-    return counts, log_sums.T, size - len(counts)
+    gammas = np.ascontiguousarray(gen.standard_gamma(counts).T)
+    return counts, gammas.T, size - len(counts)
+
+
+def _count_grid(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of a non-empty, C-contiguous count array in
+    ascending order, and each entry's position among them."""
+    top = int(counts.max())
+    if top >= counts.size:  # a lookup table wider than the block: sort instead
+        grid, index = np.unique(counts, return_inverse=True)
+        return grid, index.reshape(counts.shape)  # its shape differs across numpy 2.x
+    grid = np.flatnonzero(np.bincount(counts.ravel(), minlength=top + 1))
+    lookup = np.zeros(top + 1, dtype=np.intp)
+    lookup[grid] = np.arange(grid.size)
+    return grid, lookup[counts]
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
-    """Each row of a (causes, rows) float array added left to right, in place."""
-    return np.add.accumulate(x, axis=1, out=x)[:, -1]
+    """x added left to right along its last axis, in place."""
+    return np.add.accumulate(x, axis=-1, out=x)[..., -1]
 
 
 def _block_sums(scenario: Scenario, methods: tuple[Method, ...],
-                counts: np.ndarray, log_sums: np.ndarray) -> np.ndarray:
+                counts: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """Sums over rows of theta_hat/theta, (theta_hat - theta)^2 and coverage hits,
-    shaped (3, methods, parameters): one fit per distinct count, one reduction per
-    distinct point or interval cell set of a family, alpha hits per distinct count.
-    The block is held cause-major, and each cause's float sums add its rows in
-    block order."""
+    shaped (3, methods, parameters), from the block's per-(cause, count) tables
+    (see the module docstring).  Each table adds its rows in block order, and
+    each sum adds a cause's table entries in ascending order of the count."""
     p, truth = scenario.params.num_causes, np.array(_true_vector(scenario.params))
     sums = np.zeros((3, len(methods), 2 * p))
     if not len(counts):  # every replication of the block was discarded
         return sums
-    grid, index = np.unique(counts.T, return_inverse=True)
-    index = index.reshape(p, -1)  # the inverse's shape differs across numpy 2.x
-    log_sums = np.ascontiguousarray(log_sums.T)  # a no-op on _draw_block's layout
-    mult = np.bincount((index + grid.size * np.arange(p)[:, None]).ravel(),  # rows per
-                       minlength=p * grid.size).reshape(p, grid.size)  # (cause, count)
-    # Whole counts >= 2 and unit log sums: the kernel's inputs, valid by construction.
-    grid, unit = tuple(map(float, grid.tolist())), (1.0,) * grid.size
-
-    @cache  # each distinct cell set of a family is reduced once
-    def reduce(beta: bool, *cells):  # a point: (rel, sq) sums; an interval (lo, hi): hits
-        theta = (truth[:p] if beta else truth[p:])[:, None]
-        if not beta and len(cells) == 2:  # hits per distinct count, times its rows
-            lo, hi = np.array(cells)
-            return np.sum(mult * ((lo <= theta) & (theta <= hi)), axis=1)
-        x = [np.array(c)[index] / log_sums if beta else np.array(c)[index] for c in cells]
-        if len(x) == 2:
-            return np.sum((x[0] <= theta) & (theta <= x[1]), axis=1)
-        return _row_sums(x[0] / theta), _row_sums((x[0] - theta) ** 2)
-
-    for m, method in enumerate(methods):
-        beta, alpha = _fit(method, grid, unit, scenario.level, PointConvention.MAP)
-        sums[:2, m, :p], sums[:2, m, p:] = reduce(True, beta.point), reduce(False, alpha.point)
-        sums[2, m, :p] = reduce(True, beta.lo, beta.hi)
-        sums[2, m, p:] = reduce(False, alpha.lo, alpha.hi)
+    with np.errstate(under="raise"):  # beta^2 scales the beta MSE; 0 would hide it
+        scale = truth[:p] * truth[:p]
+    alphas = truth[p:, None]
+    counts = np.ascontiguousarray(counts.T)  # cause-major, as the gammas
+    gammas = np.ascontiguousarray(gammas.T)  # a no-op on _draw_block's layout
+    grid, index = _count_grid(counts)
+    g = grid.size
+    table = (index + g * np.arange(p)[:, None]).ravel()  # cause-offset table index
+    inv = 1.0 / gammas.ravel()
+    k = np.bincount(table, minlength=p * g)
+    w = np.bincount(table, inv, p * g)
+    mean = w / np.maximum(k, 1)  # 0 where a cause lacks a count of the grid
+    v = np.bincount(table, np.square(inv - mean[table]), p * g)
+    k, w, mean, v = (x.reshape(p, g) for x in (k, w, mean, v))
+    # Each beta and alpha family of the methods, fitted once at the distinct
+    # counts and unit log sums (whole counts >= 2: valid by construction), and
+    # its cells stacked along a leading family axis.
+    n, unit = tuple(map(float, grid.tolist())), (1.0,) * g
+    beta_of, alpha_of = zip(*map(_FAMILY.get, methods))
+    beta_fits, alpha_fits = list(dict.fromkeys(beta_of)), list(dict.fromkeys(alpha_of))
+    beta = [_beta_cells(f, n, unit, scenario.level, PointConvention.MAP) for f in beta_fits]
+    alpha = [_alpha_cells(f, n, scenario.level) for f in alpha_fits]
+    c, lo, hi = (np.array(y) for y in zip(*((b.point, b.lo, b.hi) for b in beta)))
+    x, alpha_lo, alpha_hi = (np.array(y)[:, None] for y in zip(*((a.point, a.lo, a.hi)
+                                                                for a in alpha)))
+    c = c[:, None]
+    sums[:, :, :p] = np.array([
+        _row_sums(c * w), scale * _row_sums(c * c * v + k * (c * mean - 1.0) ** 2),
+        # Family by family: a stacked gather of a full block falls out of cache.
+        [((low[index] <= gammas) & (gammas <= high[index])).sum(axis=1)
+         for low, high in zip(lo, hi)],
+    ])[:, [beta_fits.index(f) for f in beta_of]]
+    sums[:, :, p:] = np.array([
+        _row_sums(k * (x / alphas)), _row_sums(k * (x - alphas) ** 2),
+        (k * ((alpha_lo <= alphas) & (alphas <= alpha_hi))).sum(axis=-1),
+    ])[:, [alpha_fits.index(f) for f in alpha_of]]
     return sums
 
 
@@ -327,8 +358,8 @@ def run_study(scenario: Scenario, methods: tuple[Method, ...] = ALL_METHODS,
     """Run the full replication study and assemble the report.
 
     Raises StudyError when every replication was discarded, and DomainError
-    when an alpha is past the Poisson sampler's range or a beta drives a log
-    sum, a beta estimate or its squared error out of the float64 range.  Results are a
+    when an alpha is past the Poisson sampler's range or a beta's square, or a
+    beta MSE sum, leaves the float64 range (underflow included).  Results are a
     pure function of the scenario (including master_seed) and the method set
     (see the module docstring).  `workers` is validated and has no effect; it
     stays so that existing callers keep working.
@@ -342,27 +373,23 @@ def run_study(scenario: Scenario, methods: tuple[Method, ...] = ALL_METHODS,
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for block, start in enumerate(range(0, M, _BLOCK)):
-                counts, log_sums, block_discarded = _draw_block(scenario, block,
-                                                                min(_BLOCK, M - start))
-                sums += _block_sums(scenario, methods, counts, log_sums)
+                counts, gammas, block_discarded = _draw_block(scenario, block,
+                                                              min(_BLOCK, M - start))
+                sums += _block_sums(scenario, methods, counts, gammas)
                 used += len(counts)
                 discarded += block_discarded
-    except FloatingPointError as exc:  # only a beta scales the draws' floats
+    except FloatingPointError as exc:  # the draws are scale-free; only beta^2 scales a sum
         raise DomainError(f"beta = {[c.beta for c in scenario.params.causes]} takes the "
-                          "study's log sums, beta estimates or their squared errors out of "
-                          f"the float64 range ({exc})") from None
-    rel, sq, cover = sums
+                          "squared errors of the beta estimates out of the float64 range "
+                          f"({exc})") from None
     if used == 0:
         raise StudyError("every replication was discarded (some cause below 2 failures); "
                          "increase the expected counts or the replication budget")
     names = _parameter_names(scenario.params)
     truth = _true_vector(scenario.params)
-    rows = tuple(
-        McRow(names[k], method, float(rel[m, k] / used), float(sq[m, k] / used),
-              float(cover[m, k] / used))
-        for k in range(2 * p)
-        for m, method in enumerate(methods)
-    )
+    rel, sq, cover = (sums / used).tolist()
+    rows = tuple(McRow(names[k], method, rel[m][k], sq[m][k], cover[m][k])
+                 for k in range(2 * p) for m, method in enumerate(methods))
     return McReport(
         scenario_name=scenario.name or "custom",
         master_seed=scenario.master_seed,

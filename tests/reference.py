@@ -4,13 +4,18 @@
 forms in (n, S): the MLE n/S, the CMLE and the posterior mode (n - 1)/S, the
 posterior mean n/S, and the gamma laws Gamma(n, S) and Gamma(n + 1 or
 n + 1/2, 1).  Its arithmetic is the kernel's, so the two agree to the bit.
-`block_sums` gathers every method's cells per replication and sums them;
-the engine's block sums must equal it to the bit.  `log_likelihood`, which
+`count_sums` rebuilds a study block's sums in plain floats from per-(cause,
+count) tables of the unit-rate gammas G = beta * S, adding in the engine's
+order, so the engine's block sums must equal it to the bit.  `block_sums`
+gathers every method's cells per replication from the log sums S and sums
+them row by row, the engine's former order; the engine must agree with it
+to rounding, and exactly in every coverage hit.  `log_likelihood`, which
 the package never evaluates, checks that the MLE is its stationary point.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -35,6 +40,49 @@ def scalar_cells(method: Method, n: int, S: float, level: float,
              *(gamma_quantile(beta_law, q) for q in tails)),
             (float(n), math.sqrt(alpha_law.shape), math.sqrt(n),
              *(gamma_quantile(alpha_law, q) for q in tails)))
+
+
+def count_sums(scenario, methods, counts, gammas):
+    """Sums over rows of theta_hat/theta, (theta_hat - theta)^2 and coverage
+    hits, shaped (3, methods, parameters), from the block's (counts, G) rows.
+    Per cause and count n: the row count k, W = sum 1/G and V = sum
+    (1/G - W/k)^2, each over the rows in block order; then, per method and
+    over the counts in ascending order, rel = sum c W and sq = beta^2 sum
+    [c^2 V + k (c W/k - 1)^2] with c the beta point at unit log sum, beta
+    hits lo <= G <= hi, and alpha cells weighted by k."""
+    causes = scenario.params.causes
+    p = len(causes)
+    sums = np.zeros((3, len(methods), 2 * p))
+    for j, cause in enumerate(causes):
+        rows = {}
+        for n, g in zip(counts[:, j].tolist(), gammas[:, j].tolist()):
+            rows.setdefault(n, []).append(g)
+        tables = []
+        for n in sorted(rows):
+            w = v = 0.0
+            for g in rows[n]:
+                w += 1.0 / g
+            mean = w / len(rows[n])
+            for g in rows[n]:
+                d = 1.0 / g - mean
+                v += d * d
+            tables.append((n, len(rows[n]), w, mean, v, sorted(rows[n])))
+        for m, method in enumerate(methods):
+            rel = sq = hits = alpha_rel = alpha_sq = alpha_hits = 0.0
+            for n, k, w, mean, v, ordered in tables:
+                (c, _, _, lo, hi), (x, _, _, alpha_lo, alpha_hi) = scalar_cells(
+                    method, n, 1.0, scenario.level)
+                d = c * mean - 1.0
+                rel += c * w
+                sq += c * c * v + k * (d * d)
+                hits += bisect_right(ordered, hi) - bisect_left(ordered, lo)
+                d = x - cause.alpha
+                alpha_rel += k * (x / cause.alpha)
+                alpha_sq += k * (d * d)
+                alpha_hits += k if alpha_lo <= cause.alpha <= alpha_hi else 0
+            sums[:, m, j] = rel, cause.beta * cause.beta * sq, hits
+            sums[:, m, p + j] = alpha_rel, alpha_sq, alpha_hits
+    return sums
 
 
 def block_sums(scenario, methods, counts, log_sums):

@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import collections
 import csv
+import errno
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -482,6 +484,20 @@ class TestSimulate:
         assert record["type"] == "DomainError"
         assert record["message"].startswith(named)
 
+    def test_beta_square_underflow_is_refused(self, capsys, tmp_path):
+        # beta^2 scales every beta MSE; at beta = 1e-300 it underflows, and the
+        # study ends in the DomainError record rather than printing 0.0 cells.
+        path = tmp_path / "tiny.scenario"
+        path.write_text("beta = [1e-300, 1.0]\nalpha = [5.0, 5.0]\nT = 5.0\n"
+                        "replications = 64\n", encoding="utf-8")
+        code, out, err = _run(capsys, ["simulate", "--scenario", str(path)])
+        assert (code, out) == (1, "")
+        (line_out,) = err.splitlines()
+        record = json.loads(line_out)["error"]
+        assert record["type"] == "DomainError"
+        assert record["message"].startswith("beta = [1e-300, 1.0] takes the squared errors")
+        assert "underflow" in record["message"]
+
     def test_full_scale_study_is_quiet(self, capsys):
         code, out, err = _run(capsys, ["simulate", "--scenario", "scenario1",
                                        "--replications", "1000000", "--format", "json"])
@@ -505,6 +521,47 @@ class TestSimulate:
         assert payload["used"] + payload["discarded"] == 256
         assert {row["method"] for row in payload["rows"]} == {
             "mle", "cmle", "jeffreys", "reference"}
+
+
+class TestFileFaults:
+    """A file that cannot be read or written ends in one ValidationError record
+    that names the path and keeps the operating system's reason."""
+
+    def _record(self, capsys, argv):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (1, "")
+        (line_out,) = err.splitlines()
+        record = json.loads(line_out)["error"]
+        assert record["type"] == "ValidationError"
+        return record["message"]
+
+    def test_missing_input(self, capsys, tmp_path):
+        path = tmp_path / "nope.csv"
+        message = self._record(capsys, ["fit", "--input", str(path), "--truncation", "10"])
+        assert message == f"{path}: cannot read ({os.strerror(errno.ENOENT)})"
+
+    def test_scenario_that_is_a_directory(self, capsys, tmp_path):
+        message = self._record(capsys, ["simulate", "--scenario", str(tmp_path)])
+        assert message == f"{tmp_path}: cannot read ({os.strerror(errno.EISDIR)})"
+
+    def test_output_in_a_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        message = self._record(capsys, ["fixtures", "--output", str(path)])
+        assert message == f"{path}: cannot write ({os.strerror(errno.ENOENT)})"
+
+    def test_full_standard_output(self, capsys, monkeypatch):
+        class Full(io.StringIO):
+            def flush(self):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr("sys.stdout", Full())
+        code = main(["fixtures"])
+        monkeypatch.undo()
+        (line_out,) = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert json.loads(line_out)["error"] == {
+            "type": "ValidationError",
+            "message": f"stdout: cannot write ({os.strerror(errno.ENOSPC)})"}
 
 
 class TestCommandLine:

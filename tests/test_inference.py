@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from histories import stream, uniforms
+from plpcr import inference
 from plpcr.data import CauseStats, FailureHistory, FailureRecord, cause_stats, harvester_fixture
 from plpcr.errors import (
     DomainError,
@@ -421,6 +422,27 @@ class TestWaldInterval:
 
 
 class TestFitKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(causes=st.lists(st.tuples(st.integers(1, 300), st.floats(1e-3, 1e4)),
+                           min_size=1, max_size=4),
+           level=st.sampled_from([0.5, 0.9, 0.95]),
+           convention=st.sampled_from(list(PointConvention)))
+    def test_cell_families_share_their_cells(self, causes, level, convention):
+        # Methods of one family (inference._FAMILY) give equal cells, and methods
+        # of different families do not, so a study may fit each family once
+        # through the method that names it.
+        counts = tuple(float(n) for n, _ in causes)
+        log_sums = tuple(s for _, s in causes)
+        halves = (lambda m: inference._beta_cells(m, counts, log_sums, level, convention),
+                  lambda m: inference._alpha_cells(m, counts, level))
+        for half, cells in enumerate(halves):
+            for a, b in itertools.combinations(ALL_METHODS, 2):
+                same = inference._FAMILY[a][half] == inference._FAMILY[b][half]
+                assert (cells(a) == cells(b)) == same, (half, a, b)
+            for method in ALL_METHODS:
+                family = inference._FAMILY[method][half]
+                assert inference._FAMILY[family][half] == family
+
     @settings(max_examples=150, deadline=None)
     @given(causes=st.lists(st.tuples(st.integers(1, 300), st.floats(1e-3, 1e4)),
                            min_size=1, max_size=4),

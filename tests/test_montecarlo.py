@@ -29,7 +29,7 @@ from plpcr.montecarlo import (
     parse_scenario,
     run_study,
 )
-from reference import block_sums, scalar_cells
+from reference import block_sums, count_sums, scalar_cells
 
 
 class TestSystemParams:
@@ -318,18 +318,20 @@ def _scalar_study(scenario: Scenario, methods) -> McReport:
     causes = scenario.params.causes
     p = len(causes)
     names = [f"beta_{j}" for j in range(1, p + 1)] + [f"alpha_{j}" for j in range(1, p + 1)]
-    truth = [c.beta for c in causes] + [c.alpha for c in causes]
+    betas = [c.beta for c in causes]
+    truth = betas + [c.alpha for c in causes]
     rel, sq, cover = ([[0.0] * (2 * p) for _ in methods] for _ in range(3))
     used = discarded = 0
     M, block_size = scenario.replications, montecarlo._BLOCK
     for block, start in enumerate(range(0, M, block_size)):
-        counts, log_sums, block_discarded = montecarlo._draw_block(
+        counts, gammas, block_discarded = montecarlo._draw_block(
             scenario, block, min(block_size, M - start))
         discarded += block_discarded
-        for n_row, s_row in zip(counts.tolist(), log_sums.tolist()):
+        for n_row, g_row in zip(counts.tolist(), gammas.tolist()):
             used += 1
             for m, method in enumerate(methods):
-                cells = [scalar_cells(method, n, s, scenario.level) for n, s in zip(n_row, s_row)]
+                cells = [scalar_cells(method, n, g / beta, scenario.level)
+                         for n, g, beta in zip(n_row, g_row, betas)]
                 ordered = [beta for beta, _ in cells] + [alpha for _, alpha in cells]
                 for k, (theta, (x, _, _, lo, hi)) in enumerate(zip(truth, ordered)):
                     rel[m][k] += x / theta
@@ -339,6 +341,18 @@ def _scalar_study(scenario: Scenario, methods) -> McReport:
                  for k in range(2 * p) for m, method in enumerate(methods))
     return McReport(scenario.name or "custom", scenario.master_seed, M, used, discarded,
                     scenario.level, tuple(zip(names, truth)), rows)
+
+
+def _per_row_sums(scenario, methods, counts, gammas):
+    """The per-row oracle on the log sums S = G / beta."""
+    betas = np.array([c.beta for c in scenario.params.causes])
+    return block_sums(scenario, methods, counts, gammas / betas)
+
+
+def _assert_near(got, want):
+    # Point sums within 1e-12 relative, coverage hits exactly equal.
+    np.testing.assert_allclose(got[:2], want[:2], rtol=1e-12, atol=0)
+    assert np.array_equal(got[2], want[2])
 
 
 # Far-apart counts: cause 1 has a few failures, cause 2 about 2000, so a block's
@@ -376,39 +390,81 @@ class TestEngine:
     @pytest.mark.parametrize("level", [0.9, 0.95])
     @pytest.mark.parametrize("case", sorted(_ENGINE_CASES))
     def test_block_sums_match_per_row_oracle(self, case, level):
-        # Bit for bit: each distinct cell set is reduced once per block, and
-        # alpha hits are counted per distinct count, with no change in the sums.
+        # Bit for bit against the per-count oracle, which adds in the engine's
+        # order; against the per-row oracle on S = G / beta, the engine's former
+        # order, within rounding and with every coverage hit equal.
         scenario = Scenario(_ENGINE_CASES[case].params, 1, 31, level)
-        counts, log_sums, _ = montecarlo._draw_block(scenario, 0, 3000)
+        counts, gammas, _ = montecarlo._draw_block(scenario, 0, 3000)
         rng = np.random.default_rng(5)
         single = np.full((7, counts.shape[1]), 4)  # one distinct count
-        blocks = [(counts, log_sums), (single, rng.standard_gamma(single) + 0.5)]
+        blocks = [(counts, gammas), (single, rng.standard_gamma(single) + 0.5)]
         for methods in (m for r in range(1, 5) for m in itertools.combinations(ALL_METHODS, r)):
             for block in blocks:
-                assert np.array_equal(montecarlo._block_sums(scenario, methods, *block),
-                                      block_sums(scenario, methods, *block)), methods
-        # A full block, where a pairwise sum and a row-order sum part most often.
+                got = montecarlo._block_sums(scenario, methods, *block)
+                assert np.array_equal(got, count_sums(scenario, methods, *block)), methods
+                _assert_near(got, _per_row_sums(scenario, methods, *block))
+        # A full block, where the per-row and per-count orders part most often.
         full = montecarlo._draw_block(scenario, 0, montecarlo._BLOCK)[:2]
-        assert np.array_equal(montecarlo._block_sums(scenario, ALL_METHODS, *full),
-                              block_sums(scenario, ALL_METHODS, *full))
+        got = montecarlo._block_sums(scenario, ALL_METHODS, *full)
+        assert np.array_equal(got, count_sums(scenario, ALL_METHODS, *full))
+        _assert_near(got, _per_row_sums(scenario, ALL_METHODS, *full))
 
     def test_block_sums_match_oracle_for_an_all_discarded_block(self):
         scenario = make_scenario((1.0, 1.0), (0.01, 0.01), 1.0)
-        counts, log_sums, discarded = montecarlo._draw_block(scenario, 0, 64)
+        counts, gammas, discarded = montecarlo._draw_block(scenario, 0, 64)
         assert discarded == 64 and counts.shape == (0, 2)
-        got = montecarlo._block_sums(scenario, ALL_METHODS, counts, log_sums)
-        assert np.array_equal(got, block_sums(scenario, ALL_METHODS, counts, log_sums))
+        got = montecarlo._block_sums(scenario, ALL_METHODS, counts, gammas)
+        assert np.array_equal(got, count_sums(scenario, ALL_METHODS, counts, gammas))
+        assert np.array_equal(got, _per_row_sums(scenario, ALL_METHODS, counts, gammas))
         assert not got.any()
 
     @pytest.mark.parametrize("preset", ["scenario1", "scenario5"])
     def test_reports_match_per_row_oracle_across_blocks(self, preset, monkeypatch):
-        # 70,000 replications cross the 65,536 block boundary.
+        # 70,000 replications cross the 65,536 block boundary: byte-identical to
+        # the per-count oracle's report, and within rounding of the per-row one's.
         scenario = Scenario(PRESET_SCENARIOS[preset].params, 70_000, 11, 0.95, preset)
         engine = run_study(scenario)
-        monkeypatch.setattr(montecarlo, "_block_sums", block_sums)
+        monkeypatch.setattr(montecarlo, "_block_sums", count_sums)
         oracle = run_study(scenario)
         assert engine.to_json() == oracle.to_json()
         assert engine.to_csv() == oracle.to_csv()
+        monkeypatch.setattr(montecarlo, "_block_sums", _per_row_sums)
+        for got, want in zip(engine.rows, run_study(scenario).rows):
+            assert got.mre == pytest.approx(want.mre, rel=1e-12, abs=0)
+            assert got.mse == pytest.approx(want.mse, rel=1e-12, abs=0)
+            assert got.cp == want.cp
+
+    @pytest.mark.parametrize("case", ["scenario1", "scenario5", "far_apart", "three_causes"])
+    def test_count_grid_matches_unique(self, case):
+        # The lookup-table grid, and the sorting fallback for a count range wider
+        # than the block, give np.unique's grid and inverse.
+        scenario = Scenario(_ENGINE_CASES[case].params, 1, 7)
+        counts = montecarlo._draw_block(scenario, 0, 2000)[0]
+        for rows in (counts, counts[:3]):  # 3 rows: the count range is wider than the block
+            got_grid, got_index = montecarlo._count_grid(np.ascontiguousarray(rows.T))
+            want_grid, want_index = np.unique(rows.T, return_inverse=True)
+            assert np.array_equal(got_grid, want_grid)
+            assert np.array_equal(got_index, want_index.reshape(rows.shape[::-1]))
+        wide = np.array([[2, 2], [10**12, 3]])  # a lookup table this wide would not fit
+        assert montecarlo._count_grid(wide)[0].tolist() == [2, 3, 10**12]
+        assert montecarlo._count_grid(wide)[1].tolist() == [[0, 0], [2, 1]]
+
+    @settings(max_examples=12, deadline=None)
+    @given(case=st.sampled_from(sorted(_ENGINE_CASES)), k=st.integers(-40, 40),
+           seed=st.integers(0, 2**32))
+    def test_beta_scale_moves_only_the_beta_mse(self, case, k, seed):
+        # The draws are scale-free: scaling every beta by 2**k leaves each MRE
+        # and CP cell bit-identical and multiplies each beta MSE by exactly 4**k.
+        base = _ENGINE_CASES[case]
+        betas = [c.beta for c in base.params.causes]
+        alphas = [c.alpha for c in base.params.causes]
+        T = base.params.truncation_time
+        report = run_study(make_scenario(betas, alphas, T, 700, seed))
+        scaled = run_study(make_scenario([b * 2.0**k for b in betas], alphas, T, 700, seed))
+        for got, want in zip(scaled.rows, report.rows):
+            assert (got.mre, got.cp) == (want.mre, want.cp)
+            assert got.mse == (want.mse * 4.0**k if got.parameter.startswith("beta")
+                               else want.mse)
 
     def test_kernel_sees_distinct_counts_only(self, monkeypatch):
         # A block is fitted once per distinct count, so no quantile lookup
@@ -432,12 +488,12 @@ class TestEngine:
         assert sizes and max(sizes) <= distinct[0]
 
     def test_block_sampler_matches_event_histories(self):
-        # The block sampler's (n, S) against simulate_history + cause_stats,
+        # The block sampler's (n, G) against simulate_history + cause_stats,
         # kept rows only: a chi-square test on the discard share and on each
-        # cause's counts, and, given n_j, a KS test of beta_j * S_j against
-        # Gamma(n_j, 1) through its CDF, for both samplers.
+        # cause's counts, and, given n_j, a KS test of the block's G_j and of the
+        # histories' beta_j * S_j against Gamma(n_j, 1) through its CDF.
         scenario = Scenario(PRESET_SCENARIOS["scenario1"].params, 1, 61)
-        block_n, block_s, block_discarded = montecarlo._draw_block(scenario, 0, 20_000)
+        block_n, block_g, block_discarded = montecarlo._draw_block(scenario, 0, 20_000)
         rows = [cause_stats(simulate_history(scenario, stream(61, r)))
                 for r in range(10_000)]
         kept = [r for r in rows if min(r.counts) >= 2]
@@ -454,6 +510,6 @@ class TestEngine:
             table = [np.bincount(np.minimum(n[:, j], top) - 2, minlength=top - 1)
                      for n in (block_n, event_n)]
             assert stats.chi2_contingency(table).pvalue > 1e-3, j
-            for n, s in ((block_n, block_s), (event_n, event_s)):
-                u = stats.gamma.cdf(betas[j] * s[:, j], n[:, j])
+            for n, g in ((block_n, block_g), (event_n, betas * event_s)):
+                u = stats.gamma.cdf(g[:, j], n[:, j])
                 assert stats.kstest(u, "uniform").pvalue > 1e-3, j
