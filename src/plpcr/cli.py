@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from codecs import BOM_UTF8
 from pathlib import Path
@@ -44,7 +45,22 @@ def _emit(text: str, output: str | None) -> None:
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as exc:
+        if not output:
+            _drop_stdout()
         raise _io_fault(output or "stdout", "write", exc) from None
+
+
+def _drop_stdout() -> None:
+    """Point standard output's descriptor at the null device.  The bytes that
+    failed stay in stdout's buffer, and the flush at interpreter exit would
+    otherwise fail on them again: a second message and exit status 120."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # an in-memory or closed stream: nothing to flush later
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _error_record(kind: str, message: str) -> None:

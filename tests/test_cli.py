@@ -8,12 +8,16 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plpcr
 from plpcr import cli
 from plpcr.cli import main
 from plpcr.data import harvester_fixture, parse_history, serialize_history
@@ -559,6 +563,21 @@ class TestFileFaults:
         monkeypatch.undo()
         (line_out,) = capsys.readouterr().err.splitlines()
         assert code == 1
+        assert json.loads(line_out)["error"] == {
+            "type": "ValidationError",
+            "message": f"stdout: cannot write ({os.strerror(errno.ENOSPC)})"}
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+    def test_full_standard_output_in_a_fresh_process(self):
+        # A real buffered stdout keeps the bytes it failed to write, and the
+        # flush at interpreter exit must not report them a second time.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(plpcr.__file__).parents[1])
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "plpcr", "fixtures"], env=env,
+                                  stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+        (line_out,) = done.stderr.splitlines()
+        assert done.returncode == 1
         assert json.loads(line_out)["error"] == {
             "type": "ValidationError",
             "message": f"stdout: cannot write ({os.strerror(errno.ENOSPC)})"}
