@@ -18,7 +18,8 @@ from pathlib import Path
 
 from .data import cause_stats, harvester_fixture, parse_history, serialize_history
 from .diagnostics import duane_csv, duane_points
-from .errors import DiagnosticError, PlpcrError, ValidationError, check_real, check_whole
+from .errors import (DiagnosticError, DomainError, PlpcrError, ValidationError, check_real,
+                     check_whole)
 from .inference import (
     ALL_METHODS,
     EstimateRow,
@@ -26,25 +27,29 @@ from .inference import (
     Method,
     Model,
     PointConvention,
+    _as_methods,
     build_estimate_table,
 )
 
 _FIXTURES = {"harvester": harvester_fixture}
 
 
-def _io_fault(path, action: str, exc: OSError) -> ValidationError:
-    """A read or write fault as a ValidationError naming the path and the OS reason."""
-    return ValidationError(f"{path}: cannot {action} ({exc.strerror or exc})")
+def _io_fault(path, action: str, exc: OSError | ValueError) -> ValidationError:
+    """A read or write fault as a ValidationError naming the path and the reason: the
+    operating system's, or a ValueError's (a NUL byte in a path, an unencodable name)."""
+    return ValidationError(f"{path}: cannot {action} ({getattr(exc, 'strerror', None) or exc})")
 
 
 def _emit(text: str, output: str | None) -> None:
+    if not output and sys.stdout is None:  # Python's stdout when descriptor 1 is closed
+        raise ValidationError("stdout: cannot write (standard output is closed)")
     try:
         if output:
             Path(output).write_text(text, encoding="utf-8")
         else:  # flushed here, so that a full disk or a closed pipe is reported too
             sys.stdout.write(text)
             sys.stdout.flush()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         if not output:
             _drop_stdout()
         raise _io_fault(output or "stdout", "write", exc) from None
@@ -76,12 +81,12 @@ def _read_text(path) -> str:
     """The file's UTF-8 text, without a leading byte-order mark (Excel and Notepad write one)."""
     try:
         return Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise _io_fault(path, "read", exc) from None
     except UnicodeDecodeError as exc:
         with open(path, "rb") as f:  # the codec counts bytes from after a leading mark
             start = exc.start + (len(BOM_UTF8) if f.read(len(BOM_UTF8)) == BOM_UTF8 else 0)
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {start})") from None
+    except (OSError, ValueError) as exc:
+        raise _io_fault(path, "read", exc) from None
 
 
 def _load_history(args):
@@ -132,18 +137,13 @@ def _table_json(table: EstimateTable) -> str:
 
 
 def _parse_methods(text: str) -> tuple[Method, ...]:
+    # Blanks and case aside, the library reads the names and names any fault.
     if text.strip().lower() == "all":
         return ALL_METHODS
-    chosen = []
-    for token in filter(None, (t.strip().lower() for t in text.split(","))):
-        try:
-            chosen.append(Method(token))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"unknown method {token!r}; expected mle, "
-                                             "cmle, jeffreys, reference, or all") from None
-    if not chosen:
-        raise argparse.ArgumentTypeError("no methods selected")
-    return tuple(chosen)
+    try:
+        return _as_methods(list(filter(None, map(str.strip, text.lower().split(",")))))
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_prior(text: str) -> tuple[Method, ...]:

@@ -99,10 +99,6 @@ class CauseStats(namedtuple("CauseStats", "counts log_sums truncation_time")):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
-    def num_causes(self) -> int:
-        return len(self.counts)
-
-    @property
     def n(self) -> int:
         return sum(self.counts)
 

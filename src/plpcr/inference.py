@@ -22,15 +22,16 @@ Each rule is decided once: ``Method`` names the two priors, whose only
 difference is the alpha shape offset in ``_ALPHA_SHAPE_OFFSET``, and every
 public entry accepts a ``Model``, ``Method`` or ``PointConvention`` member or
 its value, refusing any other value with a DomainError.  Every cell of an
-estimate table or a replication study comes from one kernel, ``_fit``, plain
-``math`` over float tuples of counts and log sums, whose beta and alpha halves
-are ``_beta_cells`` and ``_alpha_cells`` (the pooled beta of the shared-shape
-model is the beta half on one entry), so fitting never imports numpy.  The
-public ``fit`` checks its inputs and calls the kernel;
-``build_estimate_table``, whose statistics a ``CauseStats`` has checked, and
-the study engine, whose counts are drawn valid, check each table or block
-once and call the kernel directly.  ``_FAMILY`` states which methods share
-their beta or alpha cells; the engine fits each such family once per block.
+estimate table or a replication study comes from one kernel in two halves,
+``_beta_cells`` and ``_alpha_cells``: plain ``math`` over float tuples of
+counts and log sums, so fitting never imports numpy.  Every caller reaches
+the kernel the same way, through both halves: the public ``fit`` after its
+checks; ``build_estimate_table``, whose statistics a ``CauseStats`` has
+checked, on the per-cause entries or, for the pooled beta of the
+shared-shape model, on one entry; and the study engine, whose counts are
+drawn valid, once per block.  ``_FAMILY`` states which methods share their
+beta or alpha cells; the engine fits each such family once per block.
+``_parameter_names`` gives the row labels of both the table and the study.
 """
 from __future__ import annotations
 
@@ -180,8 +181,16 @@ def _input_fault(counts, log_sums) -> str | None:
     return None
 
 
+def _parameter_names(p: int) -> list[str]:
+    """The row labels of p causes: beta_1 .. beta_p, then alpha_1 .. alpha_p."""
+    return [f"beta_{j}" for j in range(1, p + 1)] + [f"alpha_{j}" for j in range(1, p + 1)]
+
+
 def _beta_cells(method: Method, n: tuple[float, ...], s: tuple[float, ...], level: float,
                 convention: PointConvention) -> Cells:
+    """The beta half of the fitting kernel, on inputs already checked: members
+    of Method and PointConvention, a level in (0, 1), and float tuples of equal
+    length with whole counts n >= 1 and finite log sums s > 0."""
     # The cmle point and the mode of the beta marginal Gamma(n, S): (n - 1) / S, 0 at n = 1.
     bayes = method in _ALPHA_SHAPE_OFFSET
     shift = 1.0 if method is Method.CMLE or (bayes and convention is PointConvention.MAP) else 0.0
@@ -195,19 +204,12 @@ def _beta_cells(method: Method, n: tuple[float, ...], s: tuple[float, ...], leve
 
 
 def _alpha_cells(method: Method, n: tuple[float, ...], level: float) -> Cells:
+    """The alpha half of the fitting kernel, on inputs checked as for `_beta_cells`."""
     root = tuple(map(math.sqrt, n))
     if method is Method.MLE or method is Method.CMLE:
         return _wald(n, root, level)
     shape = tuple([x + _ALPHA_SHAPE_OFFSET[method] for x in n])
     return Cells(n, tuple(map(math.sqrt, shape)), root, *_std_quantiles(shape, level))
-
-
-def _fit(method: Method, n: tuple[float, ...], s: tuple[float, ...], level: float,
-         convention: PointConvention) -> tuple[Cells, Cells]:
-    """The fitting kernel on inputs already checked: members of Method and
-    PointConvention, a level in (0, 1), and float tuples of equal length with
-    whole counts n >= 1 and finite log sums s > 0."""
-    return _beta_cells(method, n, s, level, convention), _alpha_cells(method, n, level)
 
 
 def fit(method: Method, counts, log_sums, level: float,
@@ -227,7 +229,8 @@ def fit(method: Method, counts, log_sums, level: float,
     fault = _input_fault(counts, log_sums)
     if fault:
         raise DomainError(fault)
-    return _fit(method, tuple(map(float, counts)), tuple(map(float, log_sums)), level, convention)
+    n, s = tuple(map(float, counts)), tuple(map(float, log_sums))
+    return _beta_cells(method, n, s, level, convention), _alpha_cells(method, n, level)
 
 
 def build_estimate_table(stats: CauseStats,
@@ -264,7 +267,7 @@ def build_estimate_table(stats: CauseStats,
         raise UnsupportedModelError("the shared-shape Jeffreys posterior has no closed form")
     warnings = [f"cause {j + 1}: no failures observed; excluded from estimation"
                 for j in range(p) if not n[j]]
-    names = [f"beta_{j}" for j in range(1, p + 1)] + [f"alpha_{j}" for j in range(1, p + 1)]
+    names = _parameter_names(p)
     if pooled:
         names[0] = "beta"
     slots = [None] * (2 * p * len(methods))  # parameter-major; None where excluded
@@ -287,11 +290,10 @@ def build_estimate_table(stats: CauseStats,
             continue
         bayes = bayes or method in _ALPHA_SHAPE_OFFSET
         counts = tuple([n[j] for j in keep])
-        if pooled:  # one beta for all causes, from the pooled count and log sum
-            beta, alpha = (_beta_cells(method, total[:1], total[1:], level, convention),
-                           _alpha_cells(method, counts, level))
-        else:
-            beta, alpha = _fit(method, counts, tuple([s[j] for j in keep]), level, convention)
+        # The shared model fits one beta for all causes, on the pooled count and log sum.
+        entries = (total[:1], total[1:]) if pooled else (counts, tuple([s[j] for j in keep]))
+        beta = _beta_cells(method, *entries, level, convention)
+        alpha = _alpha_cells(method, counts, level)
         at = ([0] if pooled else keep) + [p + j for j in keep]
         for j, row in zip(at, map(EstimateRow, [names[j] for j in at], repeat(method),
                                   *map(tuple.__add__, beta, alpha), repeat(level))):

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import (DomainError, StudyError, ValidationError, check_real, check_sequence,
                      check_whole)
 from .inference import (_FAMILY, ALL_METHODS, Method, PointConvention, _alpha_cells,
-                        _as_methods, _beta_cells)
+                        _as_methods, _beta_cells, _parameter_names)
 
 _BLOCK = 65_536  # replications per random stream; part of the determinism contract
 
@@ -252,11 +252,6 @@ def parse_scenario(text: str, name: str | None = None) -> Scenario:
                          name=name)
 
 
-def _parameter_names(system: SystemParams) -> list[str]:
-    p = system.num_causes
-    return [f"beta_{j}" for j in range(1, p + 1)] + [f"alpha_{j}" for j in range(1, p + 1)]
-
-
 def _true_vector(system: SystemParams) -> list[float]:
     return [c.beta for c in system.causes] + [c.alpha for c in system.causes]
 
@@ -385,7 +380,7 @@ def run_study(scenario: Scenario, methods: tuple[Method, ...] = ALL_METHODS,
     if used == 0:
         raise StudyError("every replication was discarded (some cause below 2 failures); "
                          "increase the expected counts or the replication budget")
-    names = _parameter_names(scenario.params)
+    names = _parameter_names(p)
     truth = _true_vector(scenario.params)
     rel, sq, cover = (sums / used).tolist()
     rows = tuple(McRow(names[k], method, rel[m][k], sq[m][k], cover[m][k])

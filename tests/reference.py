@@ -20,7 +20,6 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 from plpcr.inference import Method, PointConvention, fit
-from plpcr.montecarlo import _true_vector
 from plpcr.numerics import GammaParams, gamma_quantile, normal_quantile
 
 
@@ -90,7 +89,8 @@ def block_sums(scenario, methods, counts, log_sums):
     hits, shaped (3, methods, parameters): each method's (lo, hi) and point
     cells gathered per row from one fit per distinct count, beta cells
     divided by S_j."""
-    truth = np.array(_true_vector(scenario.params))
+    causes = scenario.params.causes
+    truth = np.array([c.beta for c in causes] + [c.alpha for c in causes])
     sums = np.empty((3, len(methods), truth.size))
     grid, index = np.unique(counts, return_inverse=True)
     index = index.reshape(counts.shape)

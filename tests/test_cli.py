@@ -553,6 +553,27 @@ class TestFileFaults:
         message = self._record(capsys, ["fixtures", "--output", str(path)])
         assert message == f"{path}: cannot write ({os.strerror(errno.ENOENT)})"
 
+    def test_nul_byte_in_input_path(self, capsys):
+        message = self._record(capsys, ["fit", "--input", "a\x00b", "--truncation", "1"])
+        assert message == "a\x00b: cannot read (embedded null byte)"
+
+    def test_nul_byte_in_output_path(self, capsys):
+        message = self._record(capsys, ["fixtures", "--output", "a\x00b"])
+        assert message == "a\x00b: cannot write (embedded null byte)"
+
+    @pytest.mark.skipif(sys.getfilesystemencoding() != "utf-8",
+                        reason="needs file names decoded as UTF-8 with escapes")
+    def test_undecodable_scenario_name_with_output(self, capsys, tmp_path):
+        # The report header carries the file's name, whose byte 0xff has no
+        # UTF-8 text, so a UTF-8 file cannot hold the report.
+        scenario = tmp_path / os.fsdecode(b"\xff")
+        scenario.write_text("beta = [1.5]\nalpha = [6.0]\nT = 5.0\n", encoding="utf-8")
+        output = tmp_path / "out.csv"
+        message = self._record(capsys, ["simulate", "--scenario", str(scenario),
+                                        "--replications", "100", "--output", str(output)])
+        assert message.startswith(f"{output}: cannot write ('utf-8' codec can't encode")
+        assert message.endswith("surrogates not allowed)")
+
     def test_full_standard_output(self, capsys, monkeypatch):
         class Full(io.StringIO):
             def flush(self):
@@ -581,6 +602,19 @@ class TestFileFaults:
         assert json.loads(line_out)["error"] == {
             "type": "ValidationError",
             "message": f"stdout: cannot write ({os.strerror(errno.ENOSPC)})"}
+
+    @pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs a POSIX shell")
+    def test_closed_standard_output_in_a_fresh_process(self):
+        # With descriptor 1 closed at start-up, Python's sys.stdout is None.
+        env = dict(os.environ, PYTHONPATH=str(Path(plpcr.__file__).parents[1]))
+        done = subprocess.run(["/bin/sh", "-c", 'exec "$0" -m plpcr fixtures >&-',
+                               sys.executable], env=env, stderr=subprocess.PIPE, text=True,
+                              timeout=60)
+        (line_out,) = done.stderr.splitlines()
+        assert done.returncode == 1
+        assert json.loads(line_out)["error"] == {
+            "type": "ValidationError",
+            "message": "stdout: cannot write (standard output is closed)"}
 
 
 class TestCommandLine:

@@ -153,6 +153,16 @@ class TestScenarios:
         with pytest.raises(ValidationError, match="^alpha must be as long as beta, got 2 and 1"):
             parse_scenario("beta=[1.0]\nalpha=[2.0, 3.0]\nT=1.0\n")
 
+    def test_parse_scenario_whole_numbers(self):
+        # An integral float such as 1e4 is a whole number; 3.7 is refused, not truncated.
+        scenario = parse_scenario("beta=[1.0]\nalpha=[2.0]\nT=1.0\n"
+                                  "replications = 1e4\nseed = 7.0\n")
+        assert (scenario.replications, scenario.master_seed) == (10_000, 7)
+        assert type(scenario.replications) is int and type(scenario.master_seed) is int
+        with pytest.raises(ValidationError, match="^replications must be an integer >= 0, "
+                                                  "got 3.7$"):
+            parse_scenario("beta=[1.0]\nalpha=[2.0]\nT=1.0\nreplications = 3.7\n")
+
     @pytest.mark.parametrize("rhs", ["[" + "-" * 3000 + "1]", "[" * 3000 + "]" * 3000,
                                      "{[]: 1}"])
     def test_parse_scenario_refuses_unparsable_value(self, rhs):

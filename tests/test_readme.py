@@ -1,12 +1,15 @@
 """The README is the contract: its python examples run, in order, in one
 namespace, and every expression whose comment is a number or a tuple of
-numbers evaluates to that value at the printed precision; its Layout table
-names the package's modules."""
+numbers evaluates to that value at the printed precision; its scenario-file
+example parses to the values it shows; its Layout table names the package's
+modules."""
 from __future__ import annotations
 
 import ast
 import re
 from pathlib import Path
+
+from plpcr.montecarlo import parse_scenario
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -46,6 +49,20 @@ def test_readme_examples_run_and_print_their_comments():
                 exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
     # The examples keep the values the published tables print.
     assert (5.141, 17.739) in checked and (80.913,) in checked, checked
+
+
+def test_scenario_file_example_parses_to_what_it_shows():
+    text = README.read_text(encoding="utf-8").partition("Scenario files are flat key-value text:")
+    assert text[1], "the README has no scenario-file example"
+    block = re.match(r"\s*```\n(.*?)```", text[2], re.S).group(1)
+    scenario = parse_scenario(block)
+    causes = scenario.params.causes
+    got = {"beta": [c.beta for c in causes], "alpha": [c.alpha for c in causes],
+           "T": scenario.params.truncation_time, "replications": scenario.replications,
+           "seed": scenario.master_seed, "level": scenario.level}
+    shown = {key.strip(): ast.literal_eval(value.strip())
+             for key, _, value in (line.partition("=") for line in block.splitlines())}
+    assert got == shown
 
 
 def test_layout_table_lists_every_module():
