@@ -44,8 +44,8 @@ def _emit(text: str, output: str | None) -> None:
     if not output and sys.stdout is None:  # Python's stdout when descriptor 1 is closed
         raise ValidationError("stdout: cannot write (standard output is closed)")
     try:
-        if output:
-            Path(output).write_text(text, encoding="utf-8")
+        if output:  # encoded first: a report the file cannot hold leaves the file as it was
+            Path(output).write_bytes(text.encode("utf-8"))
         else:  # flushed here, so that a full disk or a closed pipe is reported too
             sys.stdout.write(text)
             sys.stdout.flush()
@@ -287,6 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     fixtures.add_argument("--name", default="harvester", choices=sorted(_FIXTURES))
     fixtures.add_argument("--output", help="write the CSV here instead of stdout")
     fixtures.set_defaults(func=_cmd_fixtures)
+    parser.commands = sub.choices  # each subcommand's own parser, by name
     return parser
 
 
@@ -296,9 +297,18 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """build_parser's namespace but `command`: a line that starts with a subcommand goes
+    straight to its parser, any other (none, --help, an unknown command) through both."""
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
+    return command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
         return args.func(args)
     except PlpcrError as exc:
         _error_record(type(exc).__name__, str(exc))

@@ -12,6 +12,7 @@ import csv
 import io
 import math
 from collections import namedtuple
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import DomainError, ValidationError, check_real, check_sequence, check_whole
@@ -127,18 +128,48 @@ def parse_history(text: str, truncation_time: float,
         rows = list(reader)
     except csv.Error as exc:  # e.g. a field beyond the csv module's size limit
         raise ValidationError(f"line {reader.line_num}: {exc}") from None
+    for start, row in enumerate(rows, start=1):  # start: the header's line, the body's index
+        if _skipped(row):
+            continue
+        if [c.strip().lower() for c in row] != ["time", "cause"]:
+            raise ValidationError(f"line {start}: expected header 'time,cause', got {row!r}")
+        break
+    else:
+        raise ValidationError("missing header line 'time,cause'")
+    # C-level passes over the non-empty rows (float and int strip blanks as str.strip
+    # does); a body with a comment, a blank row or a fault in it is read line by line.
+    body = list(filter(None, rows[start:]))
+    try:
+        if set(map(len, body)) != {2}:  # an empty body too, which the loop reads as well
+            raise ValueError
+        times, causes = zip(*body)
+        times, causes = tuple(map(float, times)), tuple(map(int, causes))
+        records = tuple(map(tuple.__new__, repeat(FailureRecord), zip(times, causes)))
+    except ValueError:
+        records, _ = _read_body(rows, start)
+        causes = (r.cause for r in records)
+    if num_causes is None:  # at least 1, so that a label of 0 is left to the record rule
+        num_causes = max(1, max(causes, default=1))
+    try:
+        return FailureHistory(records, float(truncation_time), num_causes)
+    except ValidationError:
+        # The same rule again, on a refused history only, to name the line.
+        records, line_nos = _read_body(rows, start)
+        _check_records(records, truncation_time, num_causes, lambda i: f"line {line_nos[i - 1]}")
+        raise
+
+
+def _skipped(row: list[str]) -> bool:
+    """An empty or blank row, or a comment (a first field that starts with '#')."""
+    return not row or (len(row) == 1 and not row[0].strip()) or row[0].lstrip().startswith("#")
+
+
+def _read_body(rows: list[list[str]], start: int) -> tuple[tuple[FailureRecord, ...], list[int]]:
+    """The records of rows[start:] and their line numbers; a fault names its line."""
     records: list[FailureRecord] = []
     line_nos: list[int] = []
-    header_seen = False
-    for line_no, row in enumerate(rows, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if row[0].lstrip().startswith("#"):
-            continue
-        if not header_seen:
-            if [c.strip().lower() for c in row] != ["time", "cause"]:
-                raise ValidationError(f"line {line_no}: expected header 'time,cause', got {row!r}")
-            header_seen = True
+    for line_no, row in enumerate(rows[start:], start=start + 1):
+        if _skipped(row):
             continue
         if len(row) != 2:
             raise ValidationError(f"line {line_no}: expected two fields, got {row!r}")
@@ -153,16 +184,7 @@ def parse_history(text: str, truncation_time: float,
             raise ValidationError(f"line {line_no}: non-integer cause {cause_text!r}") from None
         records.append(FailureRecord(time, cause))
         line_nos.append(line_no)
-    if not header_seen:
-        raise ValidationError("missing header line 'time,cause'")
-    if num_causes is None:  # at least 1, so that a label of 0 is left to the record rule
-        num_causes = max([1, *(r.cause for r in records)])
-    try:
-        return FailureHistory(tuple(records), float(truncation_time), num_causes)
-    except ValidationError:
-        # The same rule again, on a refused history only, to name the line.
-        _check_records(records, truncation_time, num_causes, lambda i: f"line {line_nos[i - 1]}")
-        raise
+    return tuple(records), line_nos
 
 
 def serialize_history(history: FailureHistory) -> str:

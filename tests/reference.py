@@ -11,14 +11,21 @@ gathers every method's cells per replication from the log sums S and sums
 them row by row, the engine's former order; the engine must agree with it
 to rounding, and exactly in every coverage hit.  `log_likelihood`, which
 the package never evaluates, checks that the MLE is its stationary point.
+`parse_history` is the history reader as it was before its bulk pass: one
+Python step per line, the oracle that the package's reader must match in
+every history it accepts and in every refusal message.
 """
 from __future__ import annotations
 
+import csv
+import io
 import math
 from bisect import bisect_left, bisect_right
 
 import numpy as np
 
+from plpcr.data import FailureHistory, FailureRecord, _check_records
+from plpcr.errors import ValidationError, check_real, check_whole
 from plpcr.inference import Method, PointConvention, fit
 from plpcr.numerics import GammaParams, gamma_quantile, normal_quantile
 
@@ -119,3 +126,61 @@ def log_likelihood(betas, alphas, history) -> float:
         logs = [math.log(T / r.time) for r in history.records if r.cause == j]
         total += len(logs) * (math.log(beta) + math.log(alpha)) - beta * math.fsum(logs) - alpha
     return total - math.fsum(math.log(r.time) for r in history.records)
+
+
+def parse_history(text: str, truncation_time: float,
+                  num_causes: int | None = None) -> FailureHistory:
+    """Parse ``time,cause`` CSV text into a validated FailureHistory.
+
+    The text decides the comments, the header, two fields per row, a float
+    time and an integer cause; the records are then held to the one record
+    rule of FailureHistory, and a fault names its line.  num_causes defaults
+    to the largest cause label seen; pass it explicitly to represent trailing
+    causes with zero observed failures, and a label above it is refused.
+    """
+    if not isinstance(text, str):
+        raise ValidationError(f"history text must be a str, got {type(text).__name__}")
+    check_real(truncation_time, "truncation_time", ValidationError)
+    if num_causes is not None:
+        check_whole(num_causes, "num_causes", ValidationError)
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a field beyond the csv module's size limit
+        raise ValidationError(f"line {reader.line_num}: {exc}") from None
+    records: list[FailureRecord] = []
+    line_nos: list[int] = []
+    header_seen = False
+    for line_no, row in enumerate(rows, start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if row[0].lstrip().startswith("#"):
+            continue
+        if not header_seen:
+            if [c.strip().lower() for c in row] != ["time", "cause"]:
+                raise ValidationError(f"line {line_no}: expected header 'time,cause', got {row!r}")
+            header_seen = True
+            continue
+        if len(row) != 2:
+            raise ValidationError(f"line {line_no}: expected two fields, got {row!r}")
+        time_text, cause_text = row[0].strip(), row[1].strip()
+        try:
+            time = float(time_text)
+        except ValueError:
+            raise ValidationError(f"line {line_no}: non-numeric time {time_text!r}") from None
+        try:
+            cause = int(cause_text)
+        except ValueError:
+            raise ValidationError(f"line {line_no}: non-integer cause {cause_text!r}") from None
+        records.append(FailureRecord(time, cause))
+        line_nos.append(line_no)
+    if not header_seen:
+        raise ValidationError("missing header line 'time,cause'")
+    if num_causes is None:  # at least 1, so that a label of 0 is left to the record rule
+        num_causes = max([1, *(r.cause for r in records)])
+    try:
+        return FailureHistory(tuple(records), float(truncation_time), num_causes)
+    except ValidationError:
+        # The same rule again, on a refused history only, to name the line.
+        _check_records(records, truncation_time, num_causes, lambda i: f"line {line_nos[i - 1]}")
+        raise

@@ -21,6 +21,7 @@ import plpcr
 from plpcr import cli
 from plpcr.cli import main
 from plpcr.data import harvester_fixture, parse_history, serialize_history
+from plpcr.errors import ValidationError
 from plpcr.inference import EstimateRow, EstimateTable, Method
 
 CSV_COLUMNS = ["parameter", "method", "point", "sd", "sd_paper_compat",
@@ -574,6 +575,20 @@ class TestFileFaults:
         assert message.startswith(f"{output}: cannot write ('utf-8' codec can't encode")
         assert message.endswith("surrogates not allowed)")
 
+    @pytest.mark.skipif(sys.getfilesystemencoding() != "utf-8",
+                        reason="needs file names decoded as UTF-8 with escapes")
+    def test_refused_output_keeps_the_old_file(self, capsys, tmp_path):
+        # The report is encoded before the file is opened, so a report that
+        # cannot be written leaves the file that was there as it was.
+        scenario = tmp_path / os.fsdecode(b"\xff")
+        scenario.write_text("beta = [1.5]\nalpha = [6.0]\nT = 5.0\n", encoding="utf-8")
+        output = tmp_path / "out.csv"
+        output.write_bytes(b"an earlier report\n")
+        message = self._record(capsys, ["simulate", "--scenario", str(scenario),
+                                        "--replications", "100", "--output", str(output)])
+        assert message.startswith(f"{output}: cannot write ('utf-8' codec can't encode")
+        assert output.read_bytes() == b"an earlier report\n"
+
     def test_full_standard_output(self, capsys, monkeypatch):
         class Full(io.StringIO):
             def flush(self):
@@ -735,6 +750,58 @@ class TestParserReuse:
             fresh.append(_run(capsys, argv))
         assert consecutive == fresh
         assert all(code == 0 for code, _, _ in consecutive)
+
+
+class TestDispatch:
+    """main sends a line that starts with a subcommand straight to that
+    subcommand's parser; build_parser's two levels are the oracle."""
+
+    @staticmethod
+    def _outcome(parse, argv, capsys):
+        try:
+            outcome = vars(parse(argv))
+            outcome.pop("command", None)  # set by the top level only, and read by nothing
+        except ValidationError as exc:
+            outcome = ("ValidationError", str(exc))
+        except SystemExit as exc:
+            outcome = ("SystemExit", exc.code)
+        return outcome, capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        *TestParserReuse.ARGVS,
+        ["fit", "--input", "h.csv", "--trunc", "254"],
+        ["fit", "--fixtures=harvester", "--level=0.9", "--form", "json"],
+        ["fit", "--fixtures", "harvester", "--methods", "bogus"],
+        ["fit", "--fixtures", "harvester", "--methods", "mle", "--prior", "reference"],
+        ["fit", "--fixtures", "harvester", "extra"],
+        ["fit", "--", "--fixtures", "harvester"],
+        ["fit", "fit"],
+        ["fit"],
+        ["simulate"],
+        ["simulate", "--scenario", "scenario1", "--workers", "2"],
+        ["duane", "--cause", "1"],
+        ["duane", "--fixtures", "harvester", "--cause", "1.5"],
+        ["fixtures", "--name", "bogus"],
+        ["fixtures"],
+        ["fit", "-h"],
+        ["simulate", "--help"],
+        ["fixtures", "-h", "--bogus"],
+        ["--help"],
+        ["-h", "fit"],
+        ["--bogus", "fit"],
+        ["frobnicate"],
+        ["Fit"],
+        [],
+    ], ids=" ".join)
+    def test_direct_parse_matches_both_levels(self, capsys, argv):
+        oracle = self._outcome(cli.build_parser().parse_args, argv, capsys)
+        assert self._outcome(cli._parse_args, argv, capsys) == oracle
+
+    def test_no_argv_reads_the_process_arguments(self, capsys, monkeypatch):
+        for argv in (["fit", "--fixtures", "harvester", "--format", "csv"], ["--help"], []):
+            monkeypatch.setattr("sys.argv", ["plpcr", *argv])
+            oracle = self._outcome(lambda _: cli.build_parser().parse_args(), None, capsys)
+            assert self._outcome(cli._parse_args, None, capsys) == oracle
 
 
 class TestDuane:

@@ -22,6 +22,7 @@ from plpcr.data import (
     serialize_history,
 )
 from plpcr.errors import ValidationError
+import reference
 
 E = math.e
 
@@ -157,6 +158,122 @@ class TestParseHistory:
         history = FailureHistory(tuple(FailureRecord(t, c) for t, c in zip(sorted(times), causes)),
                                  T, p)
         assert parse_history(serialize_history(history), T, p) == history
+
+
+# Texts for the reader's property test: a history of generated records, each
+# field spelt as a user's file may spell it, with other lines put in anywhere.
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+_ODD_TIMES = ["nan", "inf", "-inf", "1e400", "1_000", "1_0.5", "٣.٥", "３", "abc", "", "-1.5",
+              "0", "0.0", "10.0", "2.0", "time"]
+_ODD_CAUSES = ["0", "1", "2", "5", "1_0", "١", "٢", "1.5", "x", "", "-1", "+2", "cause"]
+_EXTRA_LINES = ["# note", "  # indented, with a comma", "#", "", "   ", "\t", ",", "time,cause",
+                " Time , CAUSE ", "t,c", "1.5", "1.5,1,9", "# 1.0,1"]
+# The corruptions of the benchmark's generated fit-batch files (bench/workloads.py).
+MALFORMED = ("header", "no_header", "time_text", "cause_text", "cause_zero", "order",
+             "duplicate", "beyond_T", "negative", "fields", "label")
+
+
+@st.composite
+def _spelt(draw, text):
+    """The field's text with blanks around it, quoted, or with non-ASCII digits."""
+    way = draw(st.sampled_from(["plain", "plain", "blanks", "quoted", "quoted blanks", "digits"]))
+    if way == "digits":
+        return text.translate(_ARABIC_INDIC)
+    if "blanks" in way:
+        text = draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", " ", "  "]))
+    return f'"{text}"' if "quoted" in way else text
+
+
+@st.composite
+def _history_rows(draw, max_size=12):
+    """(T, p, rows): ascending times in (0, T) with causes in 1..p, as text pairs."""
+    T = draw(st.sampled_from([5.0, 10.0, 254.0, 2000.0]))
+    p = draw(st.integers(1, 4))
+    times = sorted(draw(st.lists(st.floats(0.0, T, exclude_min=True, exclude_max=True),
+                                 unique=True, max_size=max_size)))
+    return T, p, [[repr(t), str(draw(st.integers(1, p)))] for t in times]
+
+
+@st.composite
+def _history_texts(draw):
+    T, p, rows = draw(_history_rows())
+    lines = [draw(st.sampled_from(["time,cause", "time,cause", " Time,CAUSE ", '"time","cause"',
+                                   "# no header"]))]
+    for time_text, cause_text in rows:
+        if draw(st.integers(0, 9)) == 0:
+            time_text = draw(st.sampled_from(_ODD_TIMES))
+        if draw(st.integers(0, 9)) == 0:
+            cause_text = draw(st.sampled_from(_ODD_CAUSES))
+        extra = ",9" if draw(st.integers(0, 19)) == 0 else ""  # a third field
+        lines.append(f"{draw(_spelt(time_text))},{draw(_spelt(cause_text))}{extra}")
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_EXTRA_LINES)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end])), T
+
+
+def _corrupt(lines, kind, k, T, p):
+    """One of the benchmark's corruptions of a file whose lines[1] is its
+    header and lines[k] one of its rows (with a row after it for 'order' and
+    'duplicate')."""
+    time_text, cause_text = lines[k].split(",")
+    lines[k] = {"time_text": f"abc,{cause_text}", "cause_text": f"{time_text},x",
+                "cause_zero": f"{time_text},0", "beyond_T": f"{T * 1.5!r},{cause_text}",
+                "negative": f"-1.5,{cause_text}", "fields": lines[k] + ",9",
+                "label": f"{time_text},{p + 1}"}.get(kind, lines[k])
+    if kind == "header":
+        lines[1] = "t,c"
+    elif kind == "no_header":
+        del lines[1]
+    elif kind == "order":
+        lines[k], lines[k + 1] = lines[k + 1], lines[k]
+    elif kind == "duplicate":
+        lines[k + 1] = f"{time_text},{lines[k + 1].split(',')[1]}"
+
+
+def _outcome(parse, text, T, num_causes):
+    """What a reader makes of a text: the history's repr, or the error's type and message."""
+    try:
+        return repr(parse(text, T, num_causes))
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared, whatever it is
+        return type(exc).__name__, str(exc)
+
+
+class TestBulkReader:
+    """parse_history reads a body of number pairs in bulk and anything else
+    line by line; either way it must give what the per-line reader gave."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(case=_history_texts(), num_causes=st.one_of(st.none(), st.integers(1, 5)))
+    def test_matches_the_per_line_reader(self, case, num_causes):
+        text, T = case
+        assert _outcome(parse_history, text, T, num_causes) == \
+            _outcome(reference.parse_history, text, T, num_causes)
+
+    @pytest.mark.parametrize("kind", MALFORMED)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_on_the_benchmark_corruptions(self, kind, data):
+        T, p, rows = data.draw(_history_rows().filter(lambda case: len(case[2]) >= 2))
+        num_causes = data.draw(st.sampled_from([None, p]))  # the benchmark passes p
+        lines = ["# generated", "time,cause", *(",".join(row) for row in rows)]
+        k = data.draw(st.integers(2, len(lines) - 2 if kind in ("order", "duplicate")
+                                  else len(lines) - 1))
+        _corrupt(lines, kind, k, T, p)
+        text = "\n".join(lines) + "\n"
+        outcome = _outcome(parse_history, text, T, num_causes)
+        assert outcome == _outcome(reference.parse_history, text, T, num_causes)
+        assert outcome[0] == "ValidationError" or kind == "label" and num_causes is None
+
+    @pytest.mark.parametrize("text", [
+        'time,cause\r\n"3.5",1\r\n4.5,"2"\r\n',
+        " time , cause \n 3.5 ,\t1 \n\t4.5 , 2\n",
+        "# a note\n\ntime,cause\n3.5,1\n\n# between rows\n   \n4.5,2\n# at the end\n",
+    ], ids=["quoted-crlf", "blanks", "comments-and-blank-lines"])
+    def test_forms_the_readme_names(self, text):
+        history = parse_history(text, 10.0)
+        assert history.records == (FailureRecord(3.5, 1), FailureRecord(4.5, 2))
+        assert repr(history) == repr(reference.parse_history(text, 10.0))
 
 
 class TestFailureHistoryValidation:
