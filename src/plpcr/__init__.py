@@ -12,7 +12,6 @@ from .data import (
     serialize_history,
     WARRANTY_CLAIM_COUNTS,
 )
-from .diagnostics import DuaneSeries, duane_points
 from .errors import (
     DiagnosticError,
     DomainError,
@@ -44,17 +43,22 @@ from .numerics import (
 
 __version__ = "0.1.0"
 
-# montecarlo, the one module that imports numpy, loads on first use of a name.
-_MONTECARLO_NAMES = ("McReport", "McRow", "PRESET_SCENARIOS", "PlpCauseParams", "Scenario",
-                     "SystemParams", "make_scenario", "parse_scenario", "run_study")
+# Names whose module loads on their first use: montecarlo, the one module that
+# imports numpy, and diagnostics, which only the duane command runs.
+_LAZY_NAMES = {
+    **dict.fromkeys(("McReport", "McRow", "PRESET_SCENARIOS", "PlpCauseParams", "Scenario",
+                     "SystemParams", "make_scenario", "parse_scenario", "run_study"),
+                    "montecarlo"),
+    **dict.fromkeys(("DuaneSeries", "duane_points"), "diagnostics"),
+}
 
 
 def __getattr__(name: str):
-    if name in _MONTECARLO_NAMES:
-        from . import montecarlo
-        return getattr(montecarlo, name)
+    if name in _LAZY_NAMES:
+        from importlib import import_module
+        return getattr(import_module(f".{_LAZY_NAMES[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_MONTECARLO_NAMES})
+    return sorted({*globals(), *_LAZY_NAMES})

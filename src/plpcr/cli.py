@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from codecs import BOM_UTF8
 from pathlib import Path
 
 from .data import cause_stats, harvester_fixture, parse_history, serialize_history
-from .diagnostics import duane_csv, duane_points
 from .errors import (DiagnosticError, DomainError, PlpcrError, ValidationError, check_real,
                      check_whole)
 from .inference import (
@@ -69,12 +67,15 @@ def _drop_stdout() -> None:
 
 
 def _error_record(kind: str, message: str) -> None:
+    import json  # here and below, not at load: most commands write no JSON
     sys.stderr.write(json.dumps({"error": {"type": kind, "message": message}}) + "\n")
 
 
 def _warn_records(warnings) -> None:
-    for message in warnings:
-        sys.stderr.write(json.dumps({"warning": message}) + "\n")
+    if warnings:  # so that a table without warnings loads no json
+        import json
+        for message in warnings:
+            sys.stderr.write(json.dumps({"warning": message}) + "\n")
 
 
 def _read_text(path) -> str:
@@ -119,6 +120,7 @@ def _table_csv(table: EstimateTable) -> str:
 
 def _json_strings(items) -> str:
     # A list of strings one level deep in json.dumps(payload, indent=2).
+    import json
     text = json.dumps(items, separators=(",\n    ", ": "))
     return f"[\n    {text[1:-1]}\n  ]" if items else "[]"
 
@@ -127,6 +129,7 @@ def _table_json(table: EstimateTable) -> str:
     # json.dumps(payload, indent=2) + "\n" from json's C encoder (its indented one is
     # pure Python): a list's separator carries its items' newline and indent.  Only
     # separators hold a raw newline, so "},\n      {" splits exactly the row objects.
+    import json
     rows = json.dumps([dict(zip(EstimateRow._fields, r)) for r in table.rows],
                       separators=(",\n      ", ": "))  # a Method encodes as its value
     if table.rows:
@@ -193,6 +196,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_duane(args) -> int:
+    from .diagnostics import duane_csv, duane_points  # here, not at load: only duane runs it
+
     history = _load_history(args)
     if args.cause is not None:
         series = [duane_points(history, args.cause)]
@@ -235,14 +240,7 @@ def _add_methods_option(parser) -> None:
                         help="comma list of mle,cmle,jeffreys,reference (or 'all')")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="plpcr",
-        description="Inference and simulation for repairable systems with "
-                    "competing risks under power-law failure intensities.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    fit = sub.add_parser("fit", help="estimate parameters from a failure history")
+def _fit_options(fit: argparse.ArgumentParser) -> None:
     _add_input_options(fit)
     fit.add_argument("--model", choices=[m.value for m in Model], default="distinct")
     # Each alias shares its option's dest and group, so giving both is refused.
@@ -264,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--format", choices=["table", "csv", "json"], default="table")
     fit.set_defaults(func=_cmd_fit)
 
-    sim = sub.add_parser("simulate", help="run a replication study for a scenario")
+
+def _simulate_options(sim: argparse.ArgumentParser) -> None:
     sim.add_argument("--scenario", required=True,
                      help="preset name (scenario1..scenario5) or scenario file path")
     sim.add_argument("--replications", type=_number(int), default=None)
@@ -276,34 +275,58 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--output", help="write the report here instead of stdout")
     sim.set_defaults(func=_cmd_simulate)
 
-    duane = sub.add_parser("duane", help="emit Duane plot points as CSV")
+
+def _duane_options(duane: argparse.ArgumentParser) -> None:
     _add_input_options(duane)
     # The upper bound, the history's cause count, is duane_points' to check.
     duane.add_argument("--cause", type=_number(int), default=None,
                        help="emit a single cause instead of all")
     duane.set_defaults(func=_cmd_duane)
 
-    fixtures = sub.add_parser("fixtures", help="materialize a bundled dataset as CSV")
+
+def _fixtures_options(fixtures: argparse.ArgumentParser) -> None:
     fixtures.add_argument("--name", default="harvester", choices=sorted(_FIXTURES))
     fixtures.add_argument("--output", help="write the CSV here instead of stdout")
     fixtures.set_defaults(func=_cmd_fixtures)
-    parser.commands = sub.choices  # each subcommand's own parser, by name
+
+
+# Each subcommand: its line in the top-level help, and the function that adds its options.
+_COMMANDS = {
+    "fit": ("estimate parameters from a failure history", _fit_options),
+    "simulate": ("run a replication study for a scenario", _simulate_options),
+    "duane": ("emit Duane plot points as CSV", _duane_options),
+    "fixtures": ("materialize a bundled dataset as CSV", _fixtures_options),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="plpcr",
+        description="Inference and simulation for repairable systems with "
+                    "competing risks under power-law failure intensities.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_options) in _COMMANDS.items():
+        add_options(sub.add_parser(name, help=summary))
     return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Parsing keeps no state in the parser, so one instance serves every call.
-    return build_parser()
+def _parser(command: str) -> argparse.ArgumentParser:
+    """The parser build_parser gives `command`, built alone.  Parsing keeps no
+    state in the parser, so one instance serves every call."""
+    parser = _Parser(prog=f"plpcr {command}")  # add_parser's name for it
+    _COMMANDS[command][1](parser)
+    return parser
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     """build_parser's namespace but `command`: a line that starts with a subcommand goes
-    straight to its parser, any other (none, --help, an unknown command) through both."""
-    parser = _parser()
+    to that subcommand's parser alone, any other (none, --help, an unknown command)
+    through build_parser's two levels."""
     argv = sys.argv[1:] if argv is None else argv
-    command = parser.commands.get(argv[0]) if argv else None
-    return command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+    if argv and argv[0] in _COMMANDS:
+        return _parser(argv[0]).parse_args(argv[1:])
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

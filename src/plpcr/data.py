@@ -8,7 +8,6 @@ provenance notes.
 """
 from __future__ import annotations
 
-import csv
 import io
 import math
 from collections import namedtuple
@@ -123,6 +122,8 @@ def parse_history(text: str, truncation_time: float,
     check_real(truncation_time, "truncation_time", ValidationError)
     if num_causes is not None:
         check_whole(num_causes, "num_causes", ValidationError)
+    import csv  # here, not at load: only a history read from text needs it
+
     reader = csv.reader(io.StringIO(text))
     try:
         rows = list(reader)

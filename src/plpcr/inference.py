@@ -36,7 +36,6 @@ beta or alpha cells; the engine fits each such family once per block.
 from __future__ import annotations
 
 import math
-import reprlib
 from enum import Enum
 from itertools import repeat
 from typing import NamedTuple
@@ -51,7 +50,7 @@ from .errors import (
     check_sequence,
     check_whole,
 )
-from .numerics import GammaParams, _std_gamma_quantile, normal_quantile
+from .numerics import GammaParams, _normal_quantile, _std_gamma_quantile
 
 
 class Model(str, Enum):
@@ -158,7 +157,7 @@ def _std_quantiles(shapes: tuple[float, ...], level: float) -> tuple[tuple[float
 
 
 def _wald(point: tuple[float, ...], sd: tuple[float, ...], level: float) -> Cells:
-    z = normal_quantile((1.0 + level) / 2.0)
+    z = _normal_quantile((1.0 + level) / 2.0)  # the level is checked by the caller
     return Cells(point, sd, sd, tuple([x - z * e for x, e in zip(point, sd)]),
                  tuple([x + z * e for x, e in zip(point, sd)]))
 
@@ -176,6 +175,7 @@ def _input_fault(counts, log_sums) -> str | None:
                     continue
             except DomainError:
                 pass
+            import reprlib  # here, not at load: only a refused input is named
             return ("counts must be whole numbers >= 1 and log sums positive and finite; "
                     f"of {len(counts)} entries, the {name} at index {i} is {reprlib.repr(value)}")
     return None

@@ -35,7 +35,6 @@ the worker count.
 """
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -150,6 +149,8 @@ class McReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        import json  # here, not at load: a csv report does without it
+
         payload = {
             "scenario": self.scenario_name,
             "seed": self.master_seed,

@@ -21,11 +21,13 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.stats import gamma as scipy_gamma
 
 import plpcr
 from histories import simulate_history, stream
@@ -49,7 +51,12 @@ from reference import log_likelihood
 # engine and kept unchanged when studies moved to sampling (n_j, S_j) blocks,
 # which changed every realization.  Unbiasedness itself is established by the
 # dedicated conditional resampling test in test_inference.py at 1e5 draws,
-# not by this choice.
+# not by this choice.  A sweep of seeds 0-199 at this M (numpy 2.4) shows what
+# the choice hides: criterion 5 passes at all 200, and criterion 6 fails at 67.
+# Its failing cells, each counted once per seed: the reference beta MRE band of
+# scenario1 beta_2 at 46 seeds, scenario2 beta_2 at 20, scenario3 beta_1 at 4,
+# scenario1 beta_1 at 3 and scenario4 beta_1 at 2; scenario1 beta_2's MLE MRE
+# band at 4.  The Monte Carlo MSE ordering held at every seed.
 STUDY_SEED = 303
 STUDY_REPLICATIONS = 10_000
 
@@ -186,8 +193,31 @@ def test_criterion_5_coverage(studies):
         print(f"  (all five scenarios at M={STUDY_REPLICATIONS} took {elapsed:.1f}s)")
 
 
+def _gamma_inverse_moment(n: int, k: int) -> float:
+    """E[G**-k] for G ~ Gamma(n, 1), by quadrature."""
+    return scipy_gamma(n).expect(lambda x: x ** -k)
+
+
 def test_criterion_6_mre(studies):
-    with criterion(6, "point-estimator mean relative error and MSE ordering"):
+    with criterion(6, "point-estimator mean relative error and MSE ordering") as notes:
+        # Exact MSE ordering.  Given n, G = beta * S ~ Gamma(n, 1) and a beta point
+        # is c / S, so its relative MSE is E[(c/G - 1)^2] = c^2 E[G^-2] - 2c E[G^-1] + 1
+        # with E[G^-1] = 1/(n-1) and E[G^-2] = 1/((n-1)(n-2)), finite from n = 3.
+        # c is the kernel's point at a unit log sum: n for mle, n - 1 for reference.
+        counts = tuple(range(3, 501))
+        unit = (1.0,) * len(counts)
+        mle_c = fit(Method.MLE, counts, unit, 0.95)[0].point
+        ref_c = fit(Method.REFERENCE, counts, unit, 0.95)[0].point
+        for n, mle, ref in zip(counts, mle_c, ref_c):
+            assert (mle, ref) == (n, n - 1), (n, mle, ref)
+            mse = {c: Fraction(c * c, (n - 1) * (n - 2)) - Fraction(2 * c, n - 1) + 1
+                   for c in (int(mle), int(ref))}
+            assert mse[n] == mse[n - 1] * Fraction(n + 2, n - 1), n
+        for n in (3, 5, 10, 48):
+            assert math.isclose(_gamma_inverse_moment(n, 1), 1 / (n - 1), rel_tol=1e-7), n
+            assert math.isclose(_gamma_inverse_moment(n, 2), 1 / ((n - 1) * (n - 2)),
+                                rel_tol=1e-7), n
+        notes.append(f"exact MSE ratio (n+2)/(n-1) at n = {counts[0]}..{counts[-1]}")
         reports, _ = studies
         for name, report in reports.items():
             for parameter in ("beta_1", "beta_2"):

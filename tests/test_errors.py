@@ -118,22 +118,27 @@ def test_entry_accepts_valid_value(call, value):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: GammaParams(np.float32(2.0), 1.0),
-    lambda: GammaParams(Fraction(1, 2), 1.0),
-    lambda: PlpCauseParams(np.float32(1.5), 1.0),
-    lambda: FailureHistory((FailureRecord(True, 1),), 10.0, 1),
-    lambda: FailureHistory((FailureRecord(1.0, True),), 10.0, 1),
-    lambda: FailureHistory((FailureRecord("1.0", 1),), 10.0, 1),
-    lambda: run_study(_SMALL, workers=True),
-    lambda: duane_points(_HARVESTER, True),
-    lambda: alpha_laws_from_counts((True,)),
-    lambda: Scenario(_SMALL.params, 64, 1, 0.95, 3),
-    lambda: reg_gamma_p(True, 1.0),
-    lambda: parse_history("time,cause\n1.0,1\n", 10.0, num_causes="3"),
-    lambda: normal_quantile("0.5"),
-    lambda: reg_gamma_p("1", 1.0),
-    lambda: CauseStats((2, 3), (1.0,), 1.0),
-    lambda: CauseStats((2, 0), (1.0, 5.0), 1.0),
+    pytest.param(lambda: GammaParams(np.float32(2.0), 1.0), id="GammaParams float32 shape"),
+    pytest.param(lambda: GammaParams(Fraction(1, 2), 1.0), id="GammaParams Fraction shape"),
+    pytest.param(lambda: PlpCauseParams(np.float32(1.5), 1.0), id="PlpCauseParams float32 beta"),
+    pytest.param(lambda: FailureHistory((FailureRecord(True, 1),), 10.0, 1),
+                 id="FailureRecord bool time"),
+    pytest.param(lambda: FailureHistory((FailureRecord(1.0, True),), 10.0, 1),
+                 id="FailureRecord bool cause"),
+    pytest.param(lambda: FailureHistory((FailureRecord("1.0", 1),), 10.0, 1),
+                 id="FailureRecord str time"),
+    pytest.param(lambda: run_study(_SMALL, workers=True), id="run_study bool workers"),
+    pytest.param(lambda: duane_points(_HARVESTER, True), id="duane_points bool cause"),
+    pytest.param(lambda: alpha_laws_from_counts((True,)), id="alpha_laws_from_counts bool count"),
+    pytest.param(lambda: Scenario(_SMALL.params, 64, 1, 0.95, 3), id="Scenario int name"),
+    pytest.param(lambda: reg_gamma_p(True, 1.0), id="reg_gamma_p bool a"),
+    pytest.param(lambda: parse_history("time,cause\n1.0,1\n", 10.0, num_causes="3"),
+                 id="parse_history str num_causes"),
+    pytest.param(lambda: normal_quantile("0.5"), id="normal_quantile str p"),
+    pytest.param(lambda: reg_gamma_p("1", 1.0), id="reg_gamma_p str a"),
+    pytest.param(lambda: CauseStats((2, 3), (1.0,), 1.0), id="CauseStats lengths differ"),
+    pytest.param(lambda: CauseStats((2, 0), (1.0, 5.0), 1.0),
+                 id="CauseStats log sum without failures"),
 ])
 def test_former_silent_or_untyped_inputs(call):
     # Each was accepted, answered wrongly or ended in a bare TypeError.

@@ -1,10 +1,12 @@
 """numpy and dataclasses only for studies: fitting, Duane points and fixtures
-never import them.
+never import them.  Each command loads only what it runs: json for a JSON
+report or record, csv for a history file, plpcr.diagnostics for duane.
 
 montecarlo is the one module that imports numpy or dataclasses, and no other
-module imports montecarlo when it is loaded; the package reaches its names on
-first use.  The value types elsewhere are named tuples, and those that check
-themselves keep their checks through every way of building one.
+module imports montecarlo when it is loaded; the package reaches its names,
+and those of diagnostics, on first use.  The value types elsewhere are named
+tuples, and those that check themselves keep their checks through every way of
+building one.
 """
 from __future__ import annotations
 
@@ -28,9 +30,13 @@ from plpcr import (CauseStats, DomainError, DuaneSeries, EstimateRow, EstimateTa
 
 PACKAGE = Path(plpcr.__file__).resolve().parent
 
-# Runs the command line in process, then reports which of numpy and dataclasses were loaded.
-_WRAPPER = ("import sys\nfrom plpcr import cli\ncode = cli.main(sys.argv[1:])\n"
-            "print(*sorted({'numpy', 'dataclasses'} & set(sys.modules)))\nraise SystemExit(code)")
+# The modules whose loading is watched, and a report of those loaded beyond a bare
+# interpreter's (which may hold some of them already, as a site hook can).
+_WATCHED = "{'numpy', 'dataclasses', 'json', 'csv', 'plpcr.diagnostics'}"
+_REPORT = f"print(*sorted({_WATCHED} & set(sys.modules) - bare))"
+# Runs the command line in process, then reports which watched modules it loaded.
+_WRAPPER = ("import sys\nbare = set(sys.modules)\nfrom plpcr import cli\n"
+            f"code = cli.main(sys.argv[1:])\n{_REPORT}\nraise SystemExit(code)")
 
 _COMMANDS = pytest.mark.parametrize("argv, is_study", [
     (["fit", "--fixtures", "harvester"], False),
@@ -66,8 +72,35 @@ def test_dataclasses_loads_only_for_a_study(argv, is_study):
 
 
 def test_import_plpcr_loads_neither():
-    code = "import sys, plpcr\nprint(*sorted({'numpy', 'dataclasses'} & set(sys.modules)))"
-    assert _fresh_run("-c", code) == ""
+    assert _fresh_run("-c", f"import sys\nbare = set(sys.modules)\nimport plpcr\n{_REPORT}") == ""
+
+
+_LOADS = [  # a command line, and the watched modules it loads
+    (["fit", "--fixtures", "harvester"], set()),
+    (["fit", "--fixtures", "harvester", "--format", "json"], {"json"}),
+    (["fixtures"], set()),
+    (["duane", "--fixtures", "harvester"], {"plpcr.diagnostics"}),
+    (["simulate", "--scenario", "scenario1", "--replications", "64"], {"numpy", "dataclasses"}),
+    (["simulate", "--scenario", "scenario1", "--replications", "64", "--format", "json"],
+     {"numpy", "dataclasses", "json"}),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", _LOADS, ids=[" ".join(argv) for argv, _ in _LOADS])
+def test_each_command_loads_only_what_it_runs(argv, loaded):
+    assert _loaded_by(tuple(argv)) == loaded
+
+
+def test_a_history_file_loads_csv(tmp_path):
+    path = tmp_path / "history.csv"
+    path.write_text("time,cause\n1.5,1\n2.5,2\n4.0,1\n5.5,2\n7.0,1\n8.5,2\n", encoding="utf-8")
+    assert _loaded_by(("fit", "--input", str(path), "--truncation", "10")) == {"csv"}
+
+
+def test_duane_names_load_on_first_use():
+    assert plpcr.DuaneSeries is plpcr.diagnostics.DuaneSeries
+    assert plpcr.duane_points is plpcr.diagnostics.duane_points
+    assert {"DuaneSeries", "duane_points"} <= set(dir(plpcr))
 
 
 def test_study_names_load_on_first_use():
@@ -88,7 +121,7 @@ def test_study_names_load_on_first_use():
 
 def test_every_listed_name_resolves():
     # A name in dir(plpcr), lazily loaded or not, that getattr cannot reach
-    # would be a stale entry in _MONTECARLO_NAMES or a broken import.
+    # would be a stale entry in _LAZY_NAMES or a broken import.
     missing = [name for name in dir(plpcr) if not hasattr(plpcr, name)]
     assert missing == []
 

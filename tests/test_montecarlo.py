@@ -229,6 +229,37 @@ class TestScenarios:
                 make_scenario(**args)
 
 
+# Criterion 8's two-block study (scenario2, 70,000 replications, seed 13), recorded
+# under numpy 2.4; a study's streams are promised for one numpy major version only.
+_PINNED_NUMPY_MAJOR = 2
+_PINNED_REPORT = (
+    "# scenario=scenario2\n"
+    "# seed=13\n"
+    "# replications=70000\n"
+    "# used=57359\n"
+    "# discarded=12641\n"
+    "# level=0.95\n"
+    "# true: beta_1=1.75 beta_2=1.25 alpha_1=26.46 alpha_2=3.11\n"
+    "parameter,method,mre,mse,cp\n"
+    "beta_1,mle,1.03994569828513,0.14683659367388524,0.9521260830907093\n"
+    "beta_1,cmle,0.9989573191109258,0.13013664055589633,0.9359298453599261\n"
+    "beta_1,jeffreys,0.9989573191109258,0.13013664055589633,0.9498770899074251\n"
+    "beta_1,reference,0.9989573191109258,0.13013664055589633,0.9498770899074251\n"
+    "beta_2,mle,1.5520051855537755,19.993447418492007,0.9551596087797904\n"
+    "beta_2,cmle,1.0128123761083916,5.141097968870217,0.8024372809846755\n"
+    "beta_2,jeffreys,1.0128123761083916,5.141097968870217,0.9494761066266846\n"
+    "beta_2,reference,1.0128123761083916,5.141097968870217,0.9494761066266846\n"
+    "alpha_1,mle,0.9999056874251446,26.2317426105755,0.9330532261720044\n"
+    "alpha_1,cmle,0.9999056874251446,26.2317426105755,0.9330532261720044\n"
+    "alpha_1,jeffreys,0.9999056874251446,26.2317426105755,0.9502955072438501\n"
+    "alpha_1,reference,0.9999056874251446,26.2317426105755,0.9502955072438501\n"
+    "alpha_2,mle,1.170918268530313,2.525868022455064,0.9941595913457347\n"
+    "alpha_2,cmle,1.170918268530313,2.525868022455064,0.9941595913457347\n"
+    "alpha_2,jeffreys,1.170918268530313,2.525868022455064,0.9521958193134469\n"
+    "alpha_2,reference,1.170918268530313,2.525868022455064,0.9521958193134469\n"
+)
+
+
 class TestRunStudy:
     def test_report_bookkeeping(self):
         scenario = Scenario(PRESET_SCENARIOS["scenario1"].params, 600, 17)
@@ -311,6 +342,13 @@ class TestRunStudy:
         scenario = make_scenario((1.0, 1.0), (0.01, 0.01), 1.0, replications=64, seed=8)
         with pytest.raises(StudyError):
             run_study(scenario)
+
+    @pytest.mark.skipif(int(np.__version__.split(".")[0]) != _PINNED_NUMPY_MAJOR,
+                        reason="the pinned report was recorded under another numpy major")
+    def test_two_block_report_bytes(self):
+        # The engine's every sum and stream, pinned: a change to any of them shows here.
+        scenario = Scenario(PRESET_SCENARIOS["scenario2"].params, 70_000, 13, name="scenario2")
+        assert run_study(scenario).to_csv() == _PINNED_REPORT
 
     def test_bad_arguments(self):
         scenario = Scenario(PRESET_SCENARIOS["scenario1"].params, 16, 1)
