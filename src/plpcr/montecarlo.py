@@ -5,8 +5,7 @@ expected count alpha over the observation window (0, T], that is the
 intensity (beta * alpha / T) * (t / T)^(beta - 1); this (beta, alpha) pair is
 the only parameterization the package uses.  Every estimator depends on a
 history only through the per-cause counts n_j and log sums
-S_j = sum log(T/t), so a replication draws those directly: a Poisson(alpha_j)
-count per cause and, given it, the unit-rate gamma G_j = beta_j * S_j ~
+S_j = sum log(T/t).  Given n_j, the unit-rate gamma G_j = beta_j * S_j is
 Gamma(n_j, 1), the exact law of the scaled log sum under the time-truncated
 power-law process (the chi-square pivot of Crow 1974).  Replications with
 some n_j < 2 are discarded.  No event history is built; the tests check the
@@ -16,27 +15,41 @@ Every cell is a function of G and the count alone, beta entering only as the
 scale of the squared error.  A beta point is c_n / S_j, with c_n the method's
 point at unit log sum, so its relative error is c_n / G_j, and its interval
 covers beta exactly when lo_n <= G_j <= hi_n; alpha cells depend on the
-counts alone.  A block of replications is therefore reduced once, whatever
-the methods, to per-(cause, distinct count) tables: the row count k_n,
-W_n = sum 1/G and the centred V_n = sum (1/G - W_n/k_n)^2.  Per method,
-sum rel = sum_n c_n W_n and sum sq = beta^2 sum_n [c_n^2 V_n +
-k_n (c_n W_n/k_n - 1)^2]; alpha points and hits are taken per count and
-weighted by k_n, and only beta hits compare each row.  Each beta family and
-each alpha family (``inference._FAMILY``) is fitted once per block, at the
-block's distinct counts and unit log sums.
+counts alone.  No cell reads how the causes of one replication pair up, so a
+block of replications is drawn as per-(cause, count) tables, not as rows.
+The counts are Poisson(alpha_j) and independent across causes, so the kept
+count is Binomial(size, prod_j P(n_j >= 2)), and, given it, each cause's
+row counts k_n are Multinomial(kept, the Poisson pmf truncated to n >= 2);
+the gammas are then drawn in one contiguous slice per count.  Per table
+entry, W_n = sum 1/G and the centred V_n = sum (1/G - W_n/k_n)^2 reduce a
+slice each.  Per method, sum rel = sum_n c_n W_n and sum sq = beta^2 sum_n
+[c_n^2 V_n + k_n (c_n W_n/k_n - 1)^2]; alpha points and hits are taken per
+count and weighted by k_n, and beta hits compare each slice with lo_n and
+hi_n.  Each beta family and each alpha family (``inference._FAMILY``) is
+fitted once per block, at the block's distinct counts and unit log sums.
+
+The truncated pmf is built once per study, over the counts whose tails each
+hold more than 2^-60 of the mass.  A cause whose search span for those
+counts would be wider than a block (alpha above about 7.44e6) draws its kept
+counts from Poisson(alpha_j) instead, redrawing each count below 2, and
+tables them; every later step is shared.
 
 Determinism contract: replications are drawn in blocks of a fixed 65,536,
-block b from the random stream keyed by (master_seed, b).  Within a block,
-each table adds its rows in block order, one cause after the other, and each
-report cell adds a cause's table entries in ascending order of the count;
-block sums are added in block order.  A report is therefore a pure function
-of the scenario and the method set; there is one execution path, whatever
-the worker count.
+block b from the random stream keyed by (master_seed, b).  Within a block
+the draws come in a fixed order: the kept count; each cause's table (or
+its row counts), in cause order; then every gamma in one call, cause by
+cause and each cause's counts in ascending order.  Each table entry adds
+its slice with np.add.reduceat, and each report cell adds a cause's table
+entries in ascending order of the count; block sums are added in block
+order.  A report is therefore a pure function of the scenario and the
+method set; there is one execution path, whatever the worker count.
 """
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -44,6 +57,7 @@ from .errors import (DomainError, StudyError, ValidationError, check_real, check
                      check_whole)
 from .inference import (_FAMILY, ALL_METHODS, Method, PointConvention, _alpha_cells,
                         _as_methods, _beta_cells, _parameter_names)
+from .numerics import _reg_gamma_p
 
 _BLOCK = 65_536  # replications per random stream; part of the determinism contract
 
@@ -257,42 +271,84 @@ def _true_vector(system: SystemParams) -> list[float]:
     return [c.beta for c in system.causes] + [c.alpha for c in system.causes]
 
 
-def _draw_block(scenario: Scenario, block: int, size: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Sufficient statistics of `size` replications drawn from one stream.
+_TAIL = 2.0 ** -60  # mass a count window may leave out on either side
 
-    Per replication and cause a Poisson(alpha_j) count n_j; replications with
-    some n_j < 2 are discarded; the kept rows then get their unit-rate gammas
-    G_j = beta_j * S_j ~ Gamma(n_j, 1), where S_j has the law of sum log(T/t)
-    over the n_j times T * U^(1/beta_j).  Returns the kept (counts, gammas)
-    rows, one column per cause, and the discard count.
+
+def _count_window(alpha: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """The law of a Poisson(alpha) count given that it is at least 2, as a
+    (grid, pmf) pair over the ascending counts whose lower and upper tails
+    each hold more than 2^-60 of the mass; None for a cause whose search span,
+    max(2, floor(alpha) - h) .. floor(alpha) + h with h = 12 sqrt(alpha) + 40,
+    is wider than a block.  The span holds every count outside those tails.
+
+    The pmf is built relative to the span's first count, as running products
+    of the ratios p(n)/p(n - 1) = alpha/n: no term underflows to a wrong value
+    at a tiny alpha, and none cancels at a huge one.
     """
-    causes = scenario.params.causes
+    half = math.ceil(12.0 * math.sqrt(alpha)) + 40
+    low, high = max(2, math.floor(alpha) - half), math.floor(alpha) + half
+    if high - low >= _BLOCK:
+        return None
+    span = np.arange(low, high + 1)
+    pmf = alpha / span
+    pmf[0] = 1.0
+    np.multiply.accumulate(pmf, out=pmf)
+    tail = _TAIL * pmf.sum()
+    first = np.add.accumulate(pmf).searchsorted(tail, "right")
+    stop = pmf.size - np.add.accumulate(pmf[::-1]).searchsorted(tail, "right")
+    pmf = pmf[first:stop]
+    return span[first:stop], pmf / pmf.sum()
+
+
+def _count_laws(scenario: Scenario) -> tuple[float, list]:
+    """P(every n_j >= 2), and each cause's `_count_window`: the laws a block
+    draws from, built once per study.  P(n >= 2) is the regularized gamma
+    P(2, alpha), which keeps its digits where 1 - e^-alpha (1 + alpha) cancels."""
+    alphas = [c.alpha for c in scenario.params.causes]
+    return math.prod(_reg_gamma_p(2.0, a) for a in alphas), list(map(_count_window, alphas))
+
+
+def _draw_block(scenario: Scenario, laws: tuple[float, list], block: int, size: int):
+    """Per-(cause, count) tables of `size` replications drawn from one stream.
+
+    The draws, in this order: the kept count, Binomial(size, P(every
+    n_j >= 2)); per cause, in cause order, how many kept replications have
+    each count, Multinomial(kept, the count window's pmf); then, in one call,
+    the unit-rate gammas G = beta_j * S_j ~ Gamma(n, 1), cause by cause and
+    each cause's counts in ascending order.  A cause without a count window
+    draws its kept counts from Poisson(alpha_j), each count below 2 redrawn.
+    Returns per cause the counts present and their replication counts, the
+    gammas shaped (causes, kept), each row in contiguous slices, one per
+    count, and the discard count.
+    """
     key = np.array([scenario.master_seed, block], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
-    alphas = [c.alpha for c in causes]
-    try:
-        counts = gen.poisson(alphas, (size, len(causes)))
-    except ValueError as exc:  # a mean past numpy's Poisson range, about 9.2e18
-        raise DomainError(f"alpha = {alphas} is beyond the Poisson sampler's range "
-                          f"({exc})") from None
-    counts = counts[np.logical_and.reduce([n >= 2 for n in counts.T])]
-    # The gammas are stored cause-major and returned as a (rows, causes) view,
-    # so that _block_sums reads each cause's column as contiguous memory.
-    gammas = np.ascontiguousarray(gen.standard_gamma(counts).T)
-    return counts, gammas.T, size - len(counts)
+    keep, windows = laws
+    kept = int(gen.binomial(size, keep))
+    counts, sizes = [], []
+    for cause, window in zip(scenario.params.causes, windows):
+        if window is None:
+            try:
+                n = gen.poisson(cause.alpha, kept)
+            except ValueError as exc:  # a mean past numpy's Poisson range, about 9.2e18
+                raise DomainError(f"alpha = {[c.alpha for c in scenario.params.causes]} is "
+                                  f"beyond the Poisson sampler's range ({exc})") from None
+            while (low := n < 2).any():
+                n[low] = gen.poisson(cause.alpha, np.count_nonzero(low))
+            grid, k = np.unique(n, return_counts=True)
+        else:
+            k = gen.multinomial(kept, window[1])
+            grid, k = window[0][k > 0], k[k > 0]
+        counts.append(grid)
+        sizes.append(k)
+    gammas = gen.standard_gamma(np.repeat(np.concatenate(counts), np.concatenate(sizes)))
+    return counts, sizes, gammas.reshape(len(counts), kept), size - kept
 
 
-def _count_grid(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct entries of a non-empty, C-contiguous count array in
-    ascending order, and each entry's position among them."""
-    top = int(counts.max())
-    if top >= counts.size:  # a lookup table wider than the block: sort instead
-        grid, index = np.unique(counts, return_inverse=True)
-        return grid, index.reshape(counts.shape)  # its shape differs across numpy 2.x
-    grid = np.flatnonzero(np.bincount(counts.ravel(), minlength=top + 1))
-    lookup = np.zeros(top + 1, dtype=np.intp)
-    lookup[grid] = np.arange(grid.size)
-    return grid, lookup[counts]
+def _stack(cells: list, g: int) -> np.ndarray:
+    """The (point, lo, hi) cells of each fitted family, shaped (3, families, g)."""
+    return np.fromiter(chain.from_iterable(f for c in cells for f in (c.point, c.lo, c.hi)),
+                       float, 3 * g * len(cells)).reshape(len(cells), 3, g).transpose(1, 0, 2)
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -300,47 +356,50 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return np.add.accumulate(x, axis=-1, out=x)[..., -1]
 
 
-def _block_sums(scenario: Scenario, methods: tuple[Method, ...],
-                counts: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+def _block_sums(scenario: Scenario, methods: tuple[Method, ...], counts: list,
+                sizes: list, gammas: np.ndarray) -> np.ndarray:
     """Sums over rows of theta_hat/theta, (theta_hat - theta)^2 and coverage hits,
-    shaped (3, methods, parameters), from the block's per-(cause, count) tables
-    (see the module docstring).  Each table adds its rows in block order, and
-    each sum adds a cause's table entries in ascending order of the count."""
+    shaped (3, methods, parameters), from `_draw_block`'s tables (see the module
+    docstring).  Each table entry reduces its count's slice with np.add.reduceat,
+    and each sum adds a cause's table entries in ascending order of the count."""
     p, truth = scenario.params.num_causes, np.array(_true_vector(scenario.params))
     sums = np.zeros((3, len(methods), 2 * p))
-    if not len(counts):  # every replication of the block was discarded
+    if not gammas.size:  # every replication of the block was discarded
         return sums
     with np.errstate(under="raise"):  # beta^2 scales the beta MSE; 0 would hide it
         scale = truth[:p] * truth[:p]
     alphas = truth[p:, None]
-    counts = np.ascontiguousarray(counts.T)  # cause-major, as the gammas
-    gammas = np.ascontiguousarray(gammas.T)  # a no-op on _draw_block's layout
-    grid, index = _count_grid(counts)
+    n, rows = np.concatenate(counts), np.concatenate(sizes)
+    starts = rows.cumsum() - rows  # each count's slice of the flattened gammas
+    flat = gammas.ravel()
+    inv = 1.0 / flat
+    w = np.add.reduceat(inv, starts)
+    mean = w / rows
+    v = np.add.reduceat(np.square(inv - np.repeat(mean, rows)), starts)
+    # Dense (cause, distinct count) tables, 0 where a cause lacks a count.
+    grid = np.sort(n)  # then its distinct entries (np.unique would load numpy.ma)
+    grid = grid[np.concatenate(([True], grid[1:] > grid[:-1]))]
     g = grid.size
-    table = (index + g * np.arange(p)[:, None]).ravel()  # cause-offset table index
-    inv = 1.0 / gammas.ravel()
-    k = np.bincount(table, minlength=p * g)
-    w = np.bincount(table, inv, p * g)
-    mean = w / np.maximum(k, 1)  # 0 where a cause lacks a count of the grid
-    v = np.bincount(table, np.square(inv - mean[table]), p * g)
-    k, w, mean, v = (x.reshape(p, g) for x in (k, w, mean, v))
+    at = grid.searchsorted(n)
+    table = np.zeros((4, p * g))
+    table[:, at + g * np.repeat(np.arange(p), list(map(len, counts)))] = rows, w, mean, v
+    k, w, mean, v = table.reshape(4, p, g)
     # Each beta and alpha family of the methods, fitted once at the distinct
     # counts and unit log sums (whole counts >= 2: valid by construction), and
     # its cells stacked along a leading family axis.
-    n, unit = tuple(map(float, grid.tolist())), (1.0,) * g
     beta_of, alpha_of = zip(*map(_FAMILY.get, methods))
     beta_fits, alpha_fits = list(dict.fromkeys(beta_of)), list(dict.fromkeys(alpha_of))
-    beta = [_beta_cells(f, n, unit, scenario.level, PointConvention.MAP) for f in beta_fits]
-    alpha = [_alpha_cells(f, n, scenario.level) for f in alpha_fits]
-    c, lo, hi = (np.array(y) for y in zip(*((b.point, b.lo, b.hi) for b in beta)))
-    x, alpha_lo, alpha_hi = (np.array(y)[:, None] for y in zip(*((a.point, a.lo, a.hi)
-                                                                for a in alpha)))
+    fit_n, unit = tuple(map(float, grid.tolist())), (1.0,) * g
+    beta = [_beta_cells(f, fit_n, unit, scenario.level, PointConvention.MAP) for f in beta_fits]
+    alpha = [_alpha_cells(f, fit_n, scenario.level) for f in alpha_fits]
+    c, lo, hi = _stack(beta, g)
+    x, alpha_lo, alpha_hi = _stack(alpha, g)[:, :, None]
     c = c[:, None]
     sums[:, :, :p] = np.array([
         _row_sums(c * w), scale * _row_sums(c * c * v + k * (c * mean - 1.0) ** 2),
-        # Family by family: a stacked gather of a full block falls out of cache.
-        [((low[index] <= gammas) & (gammas <= high[index])).sum(axis=1)
-         for low, high in zip(lo, hi)],
+        # Each count's slice against its interval, every family at once.
+        ((lo[:, at].repeat(rows, axis=1) <= flat) & (flat <= hi[:, at].repeat(rows, axis=1))
+         ).reshape(len(beta), p, -1).sum(axis=-1),
     ])[:, [beta_fits.index(f) for f in beta_of]]
     sums[:, :, p:] = np.array([
         _row_sums(k * (x / alphas)), _row_sums(k * (x - alphas) ** 2),
@@ -366,13 +425,14 @@ def run_study(scenario: Scenario, methods: tuple[Method, ...] = ALL_METHODS,
     p = scenario.params.num_causes
     sums = np.zeros((3, len(methods), 2 * p))
     used = discarded = 0
+    laws = _count_laws(scenario)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for block, start in enumerate(range(0, M, _BLOCK)):
-                counts, gammas, block_discarded = _draw_block(scenario, block,
-                                                              min(_BLOCK, M - start))
-                sums += _block_sums(scenario, methods, counts, gammas)
-                used += len(counts)
+                counts, sizes, gammas, block_discarded = _draw_block(scenario, laws, block,
+                                                                     min(_BLOCK, M - start))
+                sums += _block_sums(scenario, methods, counts, sizes, gammas)
+                used += gammas.shape[1]
                 discarded += block_discarded
     except FloatingPointError as exc:  # the draws are scale-free; only beta^2 scales a sum
         raise DomainError(f"beta = {[c.beta for c in scenario.params.causes]} takes the "

@@ -6,7 +6,9 @@ posterior mean n/S, and the gamma laws Gamma(n, S) and Gamma(n + 1 or
 n + 1/2, 1).  Its arithmetic is the kernel's, so the two agree to the bit.
 `count_sums` rebuilds a study block's sums in plain floats from per-(cause,
 count) tables of the unit-rate gammas G = beta * S, adding in the engine's
-order, so the engine's block sums must equal it to the bit.  `block_sums`
+order (`numpy_sum` spells out how np.add.reduceat adds a slice), so the
+engine's block sums must equal it to the bit.  The oracles take a block's
+rows; `table_rows` expands the engine's tables to them.  `block_sums`
 gathers every method's cells per replication from the log sums S and sums
 them row by row, the engine's former order; the engine must agree with it
 to rounding, and exactly in every coverage hit.  `log_likelihood`, which
@@ -48,14 +50,47 @@ def scalar_cells(method: Method, n: int, S: float, level: float,
              *(gamma_quantile(alpha_law, q) for q in tails)))
 
 
+def table_rows(counts, sizes, gammas):
+    """A block's per-(cause, count) tables expanded to (counts, G) rows, one
+    column per cause: column j holds cause j's count slices in table order."""
+    return np.column_stack([np.repeat(n, k) for n, k in zip(counts, sizes)]), gammas.T
+
+
+def numpy_sum(values) -> float:
+    """values added as np.add.reduceat adds one slice: the first, plus the rest
+    by numpy's pairwise summation (eight running sums over runs of up to 128
+    values, halved at a multiple of 8 above that)."""
+    def pairwise(x):
+        if len(x) < 8:
+            total = 0.0
+            for v in x:
+                total += v
+            return total
+        if len(x) <= 128:
+            r = x[:8]
+            tail = len(x) - len(x) % 8
+            for i in range(8, tail, 8):
+                r = [a + b for a, b in zip(r, x[i:i + 8])]
+            total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            for v in x[tail:]:
+                total += v
+            return total
+        half = len(x) // 2
+        half -= half % 8
+        return pairwise(x[:half]) + pairwise(x[half:])
+
+    return values[0] + pairwise(values[1:]) if len(values) > 1 else values[0]
+
+
 def count_sums(scenario, methods, counts, gammas):
     """Sums over rows of theta_hat/theta, (theta_hat - theta)^2 and coverage
     hits, shaped (3, methods, parameters), from the block's (counts, G) rows.
     Per cause and count n: the row count k, W = sum 1/G and V = sum
-    (1/G - W/k)^2, each over the rows in block order; then, per method and
-    over the counts in ascending order, rel = sum c W and sq = beta^2 sum
-    [c^2 V + k (c W/k - 1)^2] with c the beta point at unit log sum, beta
-    hits lo <= G <= hi, and alpha cells weighted by k."""
+    (1/G - W/k)^2, each over the rows in block order and added as
+    np.add.reduceat adds a slice; then, per method and over the counts in
+    ascending order, rel = sum c W and sq = beta^2 sum [c^2 V + k (c W/k - 1)^2]
+    with c the beta point at unit log sum, beta hits lo <= G <= hi, and alpha
+    cells weighted by k."""
     causes = scenario.params.causes
     p = len(causes)
     sums = np.zeros((3, len(methods), 2 * p))
@@ -65,14 +100,11 @@ def count_sums(scenario, methods, counts, gammas):
             rows.setdefault(n, []).append(g)
         tables = []
         for n in sorted(rows):
-            w = v = 0.0
-            for g in rows[n]:
-                w += 1.0 / g
-            mean = w / len(rows[n])
-            for g in rows[n]:
-                d = 1.0 / g - mean
-                v += d * d
-            tables.append((n, len(rows[n]), w, mean, v, sorted(rows[n])))
+            inv = [1.0 / g for g in rows[n]]
+            w = numpy_sum(inv)
+            mean = w / len(inv)
+            v = numpy_sum([(x - mean) * (x - mean) for x in inv])
+            tables.append((n, len(inv), w, mean, v, sorted(rows[n])))
         for m, method in enumerate(methods):
             rel = sq = hits = alpha_rel = alpha_sq = alpha_hits = 0.0
             for n, k, w, mean, v, ordered in tables:

@@ -49,13 +49,15 @@ from reference import log_likelihood
 # event-history engine and has been kept unchanged since.  The study runs at
 # M = 1e6 per scenario, where no band rests on the seed: the MRE cells of the
 # low-count causes have a sampling sd of about 0.002, so criterion 6's 0.02
-# band is about ten sigma wide.  At M = 1e4 that band was a ~1.2 sigma check:
-# a sweep of seeds 0-199 (numpy 2.4) failed criterion 6 at 67, mostly on the
-# reference beta MRE of scenario1 beta_2 (46 seeds) and scenario2 beta_2 (20),
-# while criterion 5 passed at all 200.  At M = 1e6 a sweep of seeds 0-29 fails
-# neither criterion; the largest reference beta MRE deviation over it is 0.0055
-# (scenario2 beta_2).  Unbiasedness itself is established by the conditional
-# resampling test in test_inference.py, not by this study.
+# band is about ten sigma wide.  At M = 1e4 that band is a ~1.2 sigma check:
+# sweeps of seeds 0-199 (numpy 2.4) failed criterion 6 at 67 seeds under the
+# former row-drawing engine and at 49 under today's per-count table draw,
+# mostly on the reference beta MRE of scenario1 beta_2 and scenario2 beta_2,
+# while criterion 5 passed at every seed.  At M = 1e6 a sweep of seeds 0-29
+# fails neither criterion under either engine; the largest reference beta MRE
+# deviation over it is 0.0097 (scenario1 beta_2; the MRE's variance is
+# infinite at n = 2, so its tail is heavy).  Unbiasedness itself is established
+# by the conditional resampling test in test_inference.py, not by this study.
 STUDY_SEED = 303
 STUDY_REPLICATIONS = 1_000_000
 

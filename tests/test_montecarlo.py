@@ -29,7 +29,7 @@ from plpcr.montecarlo import (
     parse_scenario,
     run_study,
 )
-from reference import block_sums, count_sums, scalar_cells
+from reference import block_sums, count_sums, numpy_sum, scalar_cells, table_rows
 
 
 class TestSystemParams:
@@ -230,33 +230,34 @@ class TestScenarios:
 
 
 # Criterion 8's two-block study (scenario2, 70,000 replications, seed 13), recorded
-# under numpy 2.4; a study's streams are promised for one numpy major version only.
+# under numpy 2.4 with blocks drawn as per-count tables; a study's streams are
+# promised for one numpy major version only.
 _PINNED_NUMPY_MAJOR = 2
 _PINNED_REPORT = (
     "# scenario=scenario2\n"
     "# seed=13\n"
     "# replications=70000\n"
-    "# used=57359\n"
-    "# discarded=12641\n"
+    "# used=56982\n"
+    "# discarded=13018\n"
     "# level=0.95\n"
     "# true: beta_1=1.75 beta_2=1.25 alpha_1=26.46 alpha_2=3.11\n"
     "parameter,method,mre,mse,cp\n"
-    "beta_1,mle,1.03994569828513,0.14683659367388524,0.9521260830907093\n"
-    "beta_1,cmle,0.9989573191109258,0.13013664055589633,0.9359298453599261\n"
-    "beta_1,jeffreys,0.9989573191109258,0.13013664055589633,0.9498770899074251\n"
-    "beta_1,reference,0.9989573191109258,0.13013664055589633,0.9498770899074251\n"
-    "beta_2,mle,1.5520051855537755,19.993447418492007,0.9551596087797904\n"
-    "beta_2,cmle,1.0128123761083916,5.141097968870217,0.8024372809846755\n"
-    "beta_2,jeffreys,1.0128123761083916,5.141097968870217,0.9494761066266846\n"
-    "beta_2,reference,1.0128123761083916,5.141097968870217,0.9494761066266846\n"
-    "alpha_1,mle,0.9999056874251446,26.2317426105755,0.9330532261720044\n"
-    "alpha_1,cmle,0.9999056874251446,26.2317426105755,0.9330532261720044\n"
-    "alpha_1,jeffreys,0.9999056874251446,26.2317426105755,0.9502955072438501\n"
-    "alpha_1,reference,0.9999056874251446,26.2317426105755,0.9502955072438501\n"
-    "alpha_2,mle,1.170918268530313,2.525868022455064,0.9941595913457347\n"
-    "alpha_2,cmle,1.170918268530313,2.525868022455064,0.9941595913457347\n"
-    "alpha_2,jeffreys,1.170918268530313,2.525868022455064,0.9521958193134469\n"
-    "alpha_2,reference,1.170918268530313,2.525868022455064,0.9521958193134469\n"
+    "beta_1,mle,1.0393829486960937,0.14573217160099305,0.9532483942297567\n"
+    "beta_1,cmle,0.9984022630623433,0.1293220231934635,0.9364536169316626\n"
+    "beta_1,jeffreys,0.9984022630623433,0.1293220231934635,0.9513179600575621\n"
+    "beta_1,reference,0.9984022630623433,0.1293220231934635,0.9513179600575621\n"
+    "beta_2,mle,1.5199622444443162,7.494614227145224,0.9547049945596855\n"
+    "beta_2,cmle,0.9984629468719795,2.1180353143908386,0.802200694956302\n"
+    "beta_2,jeffreys,0.9984629468719795,2.1180353143908386,0.9518444421045242\n"
+    "beta_2,reference,0.9984629468719795,2.1180353143908386,0.9518444421045242\n"
+    "alpha_1,mle,0.999673870304696,26.47251748271384,0.9326453967919693\n"
+    "alpha_1,cmle,0.999673870304696,26.47251748271384,0.9326453967919693\n"
+    "alpha_1,jeffreys,0.999673870304696,26.47251748271384,0.9493875258853673\n"
+    "alpha_1,reference,0.999673870304696,26.47251748271384,0.9493875258853673\n"
+    "alpha_2,mle,1.1718542359120343,2.5441617036959046,0.9936471166333228\n"
+    "alpha_2,cmle,1.1718542359120343,2.5441617036959046,0.9936471166333228\n"
+    "alpha_2,jeffreys,1.1718542359120343,2.5441617036959046,0.9524762205608789\n"
+    "alpha_2,reference,1.1718542359120343,2.5441617036959046,0.9524762205608789\n"
 )
 
 
@@ -361,8 +362,8 @@ class TestRunStudy:
 
 
 def _scalar_study(scenario: Scenario, methods) -> McReport:
-    """The study rebuilt from the engine's own block draws, one replication,
-    method and cause at a time, with the scalar reference cells."""
+    """The study rebuilt from the engine's own block tables, expanded to rows,
+    one replication, method and cause at a time, with the scalar reference cells."""
     causes = scenario.params.causes
     p = len(causes)
     names = [f"beta_{j}" for j in range(1, p + 1)] + [f"alpha_{j}" for j in range(1, p + 1)]
@@ -371,10 +372,12 @@ def _scalar_study(scenario: Scenario, methods) -> McReport:
     rel, sq, cover = ([[0.0] * (2 * p) for _ in methods] for _ in range(3))
     used = discarded = 0
     M, block_size = scenario.replications, montecarlo._BLOCK
+    laws = montecarlo._count_laws(scenario)
     for block, start in enumerate(range(0, M, block_size)):
-        counts, gammas, block_discarded = montecarlo._draw_block(
-            scenario, block, min(block_size, M - start))
+        *tables, block_discarded = montecarlo._draw_block(scenario, laws, block,
+                                                          min(block_size, M - start))
         discarded += block_discarded
+        counts, gammas = table_rows(*tables)
         for n_row, g_row in zip(counts.tolist(), gammas.tolist()):
             used += 1
             for m, method in enumerate(methods):
@@ -391,8 +394,19 @@ def _scalar_study(scenario: Scenario, methods) -> McReport:
                     scenario.level, tuple(zip(names, truth)), rows)
 
 
-def _per_row_sums(scenario, methods, counts, gammas):
-    """The per-row oracle on the log sums S = G / beta."""
+def _draw(scenario, size, block=0):
+    """One block's tables, drawn as run_study draws them."""
+    return montecarlo._draw_block(scenario, montecarlo._count_laws(scenario), block, size)[:3]
+
+
+def _count_sums(scenario, methods, *tables):
+    """The per-count oracle on the block's tables expanded to rows."""
+    return count_sums(scenario, methods, *table_rows(*tables))
+
+
+def _per_row_sums(scenario, methods, *tables):
+    """The per-row oracle on the expanded rows' log sums S = G / beta."""
+    counts, gammas = table_rows(*tables)
     betas = np.array([c.beta for c in scenario.params.causes])
     return block_sums(scenario, methods, counts, gammas / betas)
 
@@ -439,31 +453,41 @@ class TestEngine:
     @pytest.mark.parametrize("case", sorted(_ENGINE_CASES))
     def test_block_sums_match_per_row_oracle(self, case, level):
         # Bit for bit against the per-count oracle, which adds in the engine's
-        # order; against the per-row oracle on S = G / beta, the engine's former
-        # order, within rounding and with every coverage hit equal.
+        # order; against the per-row oracle on S = G / beta within rounding and
+        # with every coverage hit equal.  Both take the tables expanded to rows.
         scenario = Scenario(_ENGINE_CASES[case].params, 1, 31, level)
-        counts, gammas, _ = montecarlo._draw_block(scenario, 0, 3000)
+        p = scenario.params.num_causes
         rng = np.random.default_rng(5)
-        single = np.full((7, counts.shape[1]), 4)  # one distinct count
-        blocks = [(counts, gammas), (single, rng.standard_gamma(single) + 0.5)]
+        single = ([np.array([4])] * p, [np.array([7])] * p,  # one distinct count
+                  rng.standard_gamma(4, (p, 7)) + 0.5)
         for methods in (m for r in range(1, 5) for m in itertools.combinations(ALL_METHODS, r)):
-            for block in blocks:
+            for block in (_draw(scenario, 3000), single):
                 got = montecarlo._block_sums(scenario, methods, *block)
-                assert np.array_equal(got, count_sums(scenario, methods, *block)), methods
+                assert np.array_equal(got, _count_sums(scenario, methods, *block)), methods
                 _assert_near(got, _per_row_sums(scenario, methods, *block))
-        # A full block, where the per-row and per-count orders part most often.
-        full = montecarlo._draw_block(scenario, 0, montecarlo._BLOCK)[:2]
+        # A full block, where a count's slice is longest and the sums part most.
+        full = _draw(scenario, montecarlo._BLOCK)
         got = montecarlo._block_sums(scenario, ALL_METHODS, *full)
-        assert np.array_equal(got, count_sums(scenario, ALL_METHODS, *full))
+        assert np.array_equal(got, _count_sums(scenario, ALL_METHODS, *full))
         _assert_near(got, _per_row_sums(scenario, ALL_METHODS, *full))
+
+    def test_numpy_sum_is_reduceat_order(self):
+        # The oracle's spelled-out summation order is np.add.reduceat's, at every
+        # slice length the pairwise rule treats differently.
+        rng = np.random.default_rng(8)
+        for size in [*range(1, 140), 255, 256, 257, 1000, 4099]:
+            x = 1.0 / rng.standard_gamma(2.0, size)
+            assert np.add.reduceat(x, [0])[0] == numpy_sum(x.tolist()), size
 
     def test_block_sums_match_oracle_for_an_all_discarded_block(self):
         scenario = make_scenario((1.0, 1.0), (0.01, 0.01), 1.0)
-        counts, gammas, discarded = montecarlo._draw_block(scenario, 0, 64)
-        assert discarded == 64 and counts.shape == (0, 2)
-        got = montecarlo._block_sums(scenario, ALL_METHODS, counts, gammas)
-        assert np.array_equal(got, count_sums(scenario, ALL_METHODS, counts, gammas))
-        assert np.array_equal(got, _per_row_sums(scenario, ALL_METHODS, counts, gammas))
+        block = montecarlo._draw_block(scenario, montecarlo._count_laws(scenario), 0, 64)
+        counts, sizes, gammas, discarded = block
+        assert discarded == 64 and gammas.shape == (2, 0)
+        assert [c.size for c in counts] == [k.size for k in sizes] == [0, 0]
+        got = montecarlo._block_sums(scenario, ALL_METHODS, counts, sizes, gammas)
+        assert np.array_equal(got, _count_sums(scenario, ALL_METHODS, counts, sizes, gammas))
+        assert np.array_equal(got, _per_row_sums(scenario, ALL_METHODS, counts, sizes, gammas))
         assert not got.any()
 
     @pytest.mark.parametrize("preset", ["scenario1", "scenario5"])
@@ -472,7 +496,7 @@ class TestEngine:
         # the per-count oracle's report, and within rounding of the per-row one's.
         scenario = Scenario(PRESET_SCENARIOS[preset].params, 70_000, 11, 0.95, preset)
         engine = run_study(scenario)
-        monkeypatch.setattr(montecarlo, "_block_sums", count_sums)
+        monkeypatch.setattr(montecarlo, "_block_sums", _count_sums)
         oracle = run_study(scenario)
         assert engine.to_json() == oracle.to_json()
         assert engine.to_csv() == oracle.to_csv()
@@ -481,21 +505,6 @@ class TestEngine:
             assert got.mre == pytest.approx(want.mre, rel=1e-12, abs=0)
             assert got.mse == pytest.approx(want.mse, rel=1e-12, abs=0)
             assert got.cp == want.cp
-
-    @pytest.mark.parametrize("case", ["scenario1", "scenario5", "far_apart", "three_causes"])
-    def test_count_grid_matches_unique(self, case):
-        # The lookup-table grid, and the sorting fallback for a count range wider
-        # than the block, give np.unique's grid and inverse.
-        scenario = Scenario(_ENGINE_CASES[case].params, 1, 7)
-        counts = montecarlo._draw_block(scenario, 0, 2000)[0]
-        for rows in (counts, counts[:3]):  # 3 rows: the count range is wider than the block
-            got_grid, got_index = montecarlo._count_grid(np.ascontiguousarray(rows.T))
-            want_grid, want_index = np.unique(rows.T, return_inverse=True)
-            assert np.array_equal(got_grid, want_grid)
-            assert np.array_equal(got_index, want_index.reshape(rows.shape[::-1]))
-        wide = np.array([[2, 2], [10**12, 3]])  # a lookup table this wide would not fit
-        assert montecarlo._count_grid(wide)[0].tolist() == [2, 3, 10**12]
-        assert montecarlo._count_grid(wide)[1].tolist() == [[0, 0], [2, 1]]
 
     @settings(max_examples=12, deadline=None)
     @given(case=st.sampled_from(sorted(_ENGINE_CASES)), k=st.integers(-40, 40),
@@ -515,15 +524,16 @@ class TestEngine:
                                else want.mse)
 
     def test_kernel_sees_distinct_counts_only(self, monkeypatch):
-        # A block is fitted once per distinct count, so no quantile lookup
-        # may receive more shapes than the block has distinct counts.
+        # A block is fitted once per distinct count present in its tables, so no
+        # quantile lookup may receive more shapes than the block has such counts.
         draw_block, std_quantiles = montecarlo._draw_block, inference._std_quantiles
         distinct, sizes = [], []
 
         def recording_draw(*args):
-            counts, log_sums, discarded = draw_block(*args)
-            distinct.append(np.unique(counts).size)
-            return counts, log_sums, discarded
+            counts, rows, gammas, discarded = draw_block(*args)
+            assert all(k.all() for k in rows)  # a table holds present counts only
+            distinct.append(np.unique(np.concatenate(counts)).size)
+            return counts, rows, gammas, discarded
 
         def recording_quantiles(shapes, level):
             sizes.append(len(shapes))
@@ -536,12 +546,15 @@ class TestEngine:
         assert sizes and max(sizes) <= distinct[0]
 
     def test_block_sampler_matches_event_histories(self):
-        # The block sampler's (n, G) against simulate_history + cause_stats,
-        # kept rows only: a chi-square test on the discard share and on each
-        # cause's counts, and, given n_j, a KS test of the block's G_j and of the
-        # histories' beta_j * S_j against Gamma(n_j, 1) through its CDF.
+        # The block sampler's (n, G), its tables expanded to rows, against
+        # simulate_history + cause_stats, kept rows only: a chi-square test on
+        # the discard share and on each cause's counts, and, given n_j, a KS test
+        # of the block's G_j and of the histories' beta_j * S_j against
+        # Gamma(n_j, 1) through its CDF.
         scenario = Scenario(PRESET_SCENARIOS["scenario1"].params, 1, 61)
-        block_n, block_g, block_discarded = montecarlo._draw_block(scenario, 0, 20_000)
+        *tables, block_discarded = montecarlo._draw_block(
+            scenario, montecarlo._count_laws(scenario), 0, 20_000)
+        block_n, block_g = table_rows(*tables)
         rows = [cause_stats(simulate_history(scenario, stream(61, r)))
                 for r in range(10_000)]
         kept = [r for r in rows if min(r.counts) >= 2]
@@ -561,3 +574,132 @@ class TestEngine:
             for n, g in ((block_n, block_g), (event_n, betas * event_s)):
                 u = stats.gamma.cdf(g[:, j], n[:, j])
                 assert stats.kstest(u, "uniform").pvalue > 1e-3, j
+
+
+def _truncated_pmf(alpha, counts):
+    """scipy's Poisson(alpha) pmf at `counts`, given n >= 2."""
+    return stats.poisson.pmf(counts, alpha) / stats.poisson.sf(1, alpha)
+
+
+def _pooled_chisquare(observed, expected):
+    """Chi-square p-value of observed cell counts against expected shares,
+    pooling the cells of each tail until every cell expects at least 5."""
+    observed, expected = np.asarray(observed, float), np.asarray(expected, float)
+    expected *= observed.sum() / expected.sum()
+    lo, hi = 0, len(expected)
+    while expected[:lo + 1].sum() < 5:
+        lo += 1
+    while expected[hi - 1:].sum() < 5:
+        hi -= 1
+    obs = np.concatenate([[observed[:lo + 1].sum()], observed[lo + 1:hi - 1],
+                          [observed[hi - 1:].sum()]])
+    exp = np.concatenate([[expected[:lo + 1].sum()], expected[lo + 1:hi - 1],
+                          [expected[hi - 1:].sum()]])
+    return stats.chisquare(obs, exp).pvalue
+
+
+_TWO_LAWS = make_scenario((1.5, 0.8), (6.45, 100.0), 5.0, name="two_laws")
+
+
+class TestSampler:
+    """The block draw's law: the kept count, each cause's per-count table and
+    each count's gammas, in both the count-window and the row branch."""
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.5, 2.75, 6.45, 100.0, 1e5, 7.4e6])
+    def test_count_window_is_the_truncated_poisson(self, alpha):
+        grid, pmf = montecarlo._count_window(alpha)
+        assert grid[0] >= 2 and np.array_equal(grid, np.arange(grid[0], grid[-1] + 1))
+        want = _truncated_pmf(alpha, grid)
+        # scipy's pmf carries its log-gamma's rounding, of order 1e-16 * alpha log alpha.
+        np.testing.assert_allclose(pmf, want / want.sum(),
+                                   rtol=1e-12 + 1e-15 * alpha * math.log(alpha + 2.0))
+        # Each tail left out holds at most 2^-60, and the window's end counts more:
+        # the tails are summed from scipy's pmf, whose sf is coarser out there.
+        below = _truncated_pmf(alpha, np.arange(2, grid[0] + 1))
+        above = _truncated_pmf(alpha, np.arange(grid[-1], grid[-1] + 40 * math.isqrt(
+            int(alpha) + 1) + 100))
+        assert below[:-1].sum() <= 2.0**-60 < below.sum()
+        assert above[1:].sum() <= 2.0**-60 < above.sum()
+
+    def test_count_window_spans_at_most_a_block(self):
+        # Past about alpha = 7.44e6 the search span is wider than a block: the
+        # cause draws its counts row by row.  No span is ever allocated for it.
+        assert montecarlo._count_window(7.43e6) is not None
+        for alpha in (7.45e6, 1e12, 1e19):
+            assert montecarlo._count_window(alpha) is None
+        assert montecarlo._count_window(1e-320)[0].tolist() == [2]
+
+    def test_keep_probability(self):
+        # P(n >= 2) through the regularized gamma keeps its digits at a tiny alpha,
+        # where 1 - e^-alpha (1 + alpha) cancels to 0.
+        for alphas in ((6.45, 2.75), (1e-10, 3.0), (1e-100,), (1e5, 1e12, 1e19)):
+            scenario = make_scenario((1.0,) * len(alphas), alphas, 1.0)
+            want = math.prod(stats.poisson.sf(1, a) for a in alphas)
+            assert montecarlo._count_laws(scenario)[0] == pytest.approx(want, rel=1e-13)
+
+    def test_kept_count_is_binomial(self):
+        laws = montecarlo._count_laws(_TWO_LAWS)
+        kept = np.array([256 - montecarlo._draw_block(_TWO_LAWS, laws, b, 256)[3]
+                         for b in range(3000)])
+        keep = math.prod(stats.poisson.sf(1, c.alpha) for c in _TWO_LAWS.params.causes)
+        assert _pooled_chisquare(np.bincount(kept, minlength=257),
+                                 stats.binom.pmf(np.arange(257), 256, keep)) > 1e-3
+
+    def test_table_layout(self):
+        # Per cause: ascending counts present (k > 0) whose replication counts
+        # add to the kept count, and one row of gammas of that length.
+        counts, sizes, gammas, discarded = montecarlo._draw_block(
+            _TWO_LAWS, montecarlo._count_laws(_TWO_LAWS), 0, 5000)
+        assert gammas.shape == (2, 5000 - discarded)
+        for n, k in zip(counts, sizes):
+            assert np.all(np.diff(n) > 0) and n[0] >= 2 and np.all(k > 0)
+            assert k.sum() == gammas.shape[1]
+
+    @pytest.mark.parametrize("row_branch", [False, True])
+    def test_tables_follow_the_truncated_pmf(self, row_branch, monkeypatch):
+        # Each cause's tables, summed over blocks, against scipy's truncated pmf.
+        # The row branch is forced at alphas where both branches apply; at
+        # alpha = 0.5 most of its Poisson draws fall below 2 and are redrawn.
+        if row_branch:
+            monkeypatch.setattr(montecarlo, "_count_window", lambda alpha: None)
+        scenario = make_scenario((1.5, 0.8, 1.0), (6.45, 100.0, 0.5), 5.0)
+        laws = montecarlo._count_laws(scenario)
+        totals = [np.zeros(400, np.int64) for _ in range(3)]
+        for block in range(4):
+            counts, sizes, gammas, _ = montecarlo._draw_block(scenario, laws, block, 65_536)
+            for total, n, k in zip(totals, counts, sizes):
+                np.add.at(total, n, k)
+        for total, cause in zip(totals, scenario.params.causes):
+            assert not total[:2].any()
+            support = np.arange(2, 400)
+            assert _pooled_chisquare(total[2:], _truncated_pmf(cause.alpha, support)) > 1e-3
+
+    @pytest.mark.parametrize("row_branch", [False, True])
+    def test_count_slices_are_gamma(self, row_branch, monkeypatch):
+        # Each count's slice of G against Gamma(n, 1): a KS test per slice of at
+        # least 2,000 gammas, and one of all slices pooled through their CDFs.
+        if row_branch:
+            monkeypatch.setattr(montecarlo, "_count_window", lambda alpha: None)
+        counts, sizes, gammas, _ = montecarlo._draw_block(
+            _TWO_LAWS, montecarlo._count_laws(_TWO_LAWS), 3, 65_536)
+        for n, k, g in zip(counts, sizes, gammas):
+            slices = np.split(g, np.cumsum(k)[:-1])
+            for count, part in zip(n.tolist(), slices):
+                if part.size >= 2000:
+                    assert stats.kstest(part, "gamma", args=(count,)).pvalue > 1e-4, count
+            u = np.concatenate([stats.gamma.cdf(part, count)
+                                for count, part in zip(n.tolist(), slices)])
+            assert stats.kstest(u, "uniform").pvalue > 1e-3
+
+    def test_row_branch_runs_where_windows_cannot(self):
+        # alpha = 1e12 takes the row branch and runs for the MLE, whose cells
+        # need no gamma quantile; alpha = 1e19, past numpy's Poisson range, is
+        # refused, also where no replication of the block is kept.
+        scenario = make_scenario((1.0,), (1e12,), 1.0, replications=500, seed=3)
+        report = run_study(scenario, methods=(Method.MLE,))
+        assert (report.replications_used, report.replications_discarded) == (500, 0)
+        assert report.row("alpha_1", Method.MLE).mre == pytest.approx(1.0, abs=1e-6)
+        for alphas in ((1e19,), (1e19, 1e-200)):
+            with pytest.raises(DomainError, match="beyond the Poisson sampler's range"):
+                run_study(make_scenario((1.0,) * len(alphas), alphas, 1.0, replications=10),
+                          methods=(Method.MLE,))
