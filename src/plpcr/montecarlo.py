@@ -376,11 +376,11 @@ def _block_sums(scenario: Scenario, methods: tuple[Method, ...], counts: list,
     w = np.add.reduceat(inv, starts)
     mean = w / rows
     v = np.add.reduceat(np.square(inv - np.repeat(mean, rows)), starts)
-    # Dense (cause, distinct count) tables, 0 where a cause lacks a count.
-    grid = np.sort(n)  # then its distinct entries (np.unique would load numpy.ma)
-    grid = grid[np.concatenate(([True], grid[1:] > grid[:-1]))]
-    g = grid.size
-    at = grid.searchsorted(n)
+    # Dense (cause, distinct count) tables, 0 where a cause lacks a count.  The
+    # distinct counts are few; Python sorts them without paging in numpy's sorts.
+    grid = sorted(set(n.tolist()))
+    g = len(grid)
+    at = np.searchsorted(grid, n)
     table = np.zeros((4, p * g))
     table[:, at + g * np.repeat(np.arange(p), list(map(len, counts)))] = rows, w, mean, v
     k, w, mean, v = table.reshape(4, p, g)
@@ -389,7 +389,7 @@ def _block_sums(scenario: Scenario, methods: tuple[Method, ...], counts: list,
     # its cells stacked along a leading family axis.
     beta_of, alpha_of = zip(*map(_FAMILY.get, methods))
     beta_fits, alpha_fits = list(dict.fromkeys(beta_of)), list(dict.fromkeys(alpha_of))
-    fit_n, unit = tuple(map(float, grid.tolist())), (1.0,) * g
+    fit_n, unit = tuple(map(float, grid)), (1.0,) * g
     beta = [_beta_cells(f, fit_n, unit, scenario.level, PointConvention.MAP) for f in beta_fits]
     alpha = [_alpha_cells(f, fit_n, scenario.level) for f in alpha_fits]
     c, lo, hi = _stack(beta, g)
