@@ -234,8 +234,8 @@ def test_criterion_6_mre(studies):
 def test_criterion_7_oracle_suite():
     with criterion(7, "numerical oracles (quantile round-trip, quadrature, "
                       "gradient, time-transform KS)"):
-        # Gamma quantile round-trip on the stated grid.
-        for a in (0.5, 1.0, 5.0, 10.0, 24.5, 100.0):
+        # Gamma quantile round-trip on the stated grid, and at large shapes.
+        for a in (0.5, 1.0, 5.0, 10.0, 24.5, 100.0, 1e3, 1e6, 1e9):
             for q in (0.005, 0.025, 0.5, 0.975, 0.995):
                 x = gamma_quantile(GammaParams(a, 1.0), q)
                 assert abs(reg_gamma_p(a, x) - q) < 1e-8

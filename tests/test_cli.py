@@ -22,7 +22,7 @@ from plpcr import cli
 from plpcr.cli import main
 from plpcr.data import harvester_fixture, parse_history, serialize_history
 from plpcr.errors import ValidationError
-from plpcr.inference import EstimateRow, EstimateTable, Method
+from plpcr.inference import EstimateRow, EstimateTable, Method, fit
 
 CSV_COLUMNS = ["parameter", "method", "point", "sd", "sd_paper_compat",
                "ci_lo", "ci_hi", "level"]
@@ -451,23 +451,25 @@ class TestSimulate:
         assert record["type"] == "ValidationError"
         assert f"unknown key '{line.split()[0]}'" in record["message"]
 
-    def test_count_beyond_the_gamma_solver_range_errors(self, capsys, tmp_path):
-        # Counts near 1e7 are past the quantile solver's working range (shapes up
-        # to about 2.4e6 at level 0.95): the study ends in a NumericError record
-        # that names the gamma shape and the range.
+    def test_count_of_ten_million_gets_a_report(self, capsys, tmp_path):
+        # Counts near 1e7 take the quantile solver's large-shape branch (Temme's
+        # expansion), which has no upper limit on the shape: the study reports.
         path = tmp_path / "huge.scenario"
         path.write_text("beta = [1.0]\nalpha = [1e7]\nT = 5.0\nreplications = 16\n",
                         encoding="utf-8")
         code, out, err = _run(capsys, ["simulate", "--scenario", str(path)])
-        assert code == 1
-        assert out == ""
-        (line_out,) = err.splitlines()
-        record = json.loads(line_out)["error"]
-        assert record["type"] == "NumericError"
-        assert record["message"].startswith("gamma quantile of shape ")
-        shape = float(record["message"].split()[4])
-        assert shape > 2.4e6
-        assert "working range (shapes up to about 1.8e6 at level 0.5" in record["message"]
+        assert (code, err) == (0, "")
+        assert "# used=16\n" in out
+        rows = list(csv.DictReader(line for line in out.splitlines() if not line.startswith("#")))
+        assert [(r["parameter"], r["method"]) for r in rows] == [
+            (p, m) for p in ("beta_1", "alpha_1") for m in ("mle", "cmle", "jeffreys", "reference")]
+        for row in rows:
+            assert math.isfinite(float(row["mre"])) and 0.0 <= float(row["cp"]) <= 1.0
+        # The reference alpha interval at that count, against scipy.
+        from scipy.special import gammaincinv
+        _, alpha = fit("reference", [10_000_000], [1.0], 0.95)
+        assert alpha.lo[0] == pytest.approx(gammaincinv(1e7 + 0.5, 0.025), rel=1e-12, abs=0)
+        assert alpha.hi[0] == pytest.approx(gammaincinv(1e7 + 0.5, 0.975), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("beta, alpha, named", [
         ("[1.0]", "[1e19]", "alpha = [1e+19]"),  # past numpy's Poisson range

@@ -10,12 +10,18 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from scipy.special import gammainc, gammaincinv
+
 from histories import stream, uniforms
+from plpcr import numerics
 from plpcr.errors import DomainError
 from plpcr.numerics import GammaParams, gamma_quantile, normal_quantile, reg_gamma_p
 
 QUANTILE_SHAPES = (0.5, 1.0, 5.0, 10.0, 24.5, 100.0)
 QUANTILE_PROBS = (0.005, 0.025, 0.5, 0.975, 0.995)
+# The large-shape branch: Temme's expansion from numerics._TEMME_SHAPE (50) on.
+SWITCH = numerics._TEMME_SHAPE
+TEMME_PROBS = (0.0005, 0.005, 0.025, 0.25, 0.5, 0.75, 0.975, 0.995, 0.9995)
 
 
 class TestRegGammaP:
@@ -112,6 +118,163 @@ class TestGammaQuantile:
                             (np.float32(2.0), 1.0), (Fraction(1, 2), 1.0), (math.inf, 1.0)):
             with pytest.raises(DomainError, match="must be a positive real"):
                 GammaParams(shape, rate)
+
+
+class TestLargeShapes:
+    """The large-shape branch against scipy, and its cost per solve."""
+
+    @pytest.mark.parametrize("a", [math.nextafter(SWITCH, 0.0), *np.geomspace(SWITCH, 1e9, 25)])
+    def test_quantile_against_scipy(self, a):
+        a = float(a)
+        for q in TEMME_PROBS:
+            got = gamma_quantile(GammaParams(a, 1.0), q)
+            assert got == pytest.approx(gammaincinv(a, q), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("a, tol", [
+        # Below the switch-over the series and continued fraction stay. Their
+        # prefactor exp(a ln x - x - lgamma(a)) loses about a*ln(a) ulps, which
+        # is 1-2e-14 near x = a at these shapes.
+        (49.0, 5e-14), (math.nextafter(SWITCH, 0.0), 5e-14),
+        (SWITCH, 1e-14), (75.0, 1e-14), (1e3, 1e-14), (1e5, 1e-14)])
+    def test_reg_gamma_p_against_scipy(self, a, tol):
+        # lambda = x/a from 0.5 to 2 crosses |eta| = 0.5, where the expansion
+        # hands over to the series and the continued fraction, on both sides.
+        for lam in np.geomspace(0.5, 2.0, 201):
+            x = a * float(lam)
+            assert abs(reg_gamma_p(a, x) - gammainc(a, x)) < tol
+
+    @pytest.mark.parametrize("a", [1e3, 1e5, 1e7])
+    @pytest.mark.parametrize("q", [0.025, 0.975])
+    def test_evaluations_per_solve(self, a, q, monkeypatch):
+        # Newton from Temme's inversion settles in one or two evaluations of
+        # P(a, x); a bracketing fallback or a stall would take many more.
+        calls = []
+        reg_gamma_p_ = numerics._reg_gamma_p
+        monkeypatch.setattr(numerics, "_reg_gamma_p",
+                            lambda a_, x: calls.append(x) or reg_gamma_p_(a_, x))
+        y = numerics._std_gamma_quantile.__wrapped__(a, q)
+        assert 1 <= len(calls) <= 4
+        assert y == pytest.approx(gammaincinv(a, q), rel=1e-12, abs=0)
+
+    def test_no_upper_limit_on_the_shape(self):
+        # Shapes past the old solver's limit (about 1.8e6) solve like any other.
+        for a in (1e7, 1e12, 1e15):
+            lo, hi = (gamma_quantile(GammaParams(a, 1.0), q) for q in (0.025, 0.975))
+            z = normal_quantile(0.975)
+            assert lo == pytest.approx(a - z * math.sqrt(a), rel=1e-6)
+            assert hi == pytest.approx(a + z * math.sqrt(a), rel=1e-6)
+
+
+def _series_product(x, y, n):
+    return [sum(x[i] * y[k - i] for i in range(k + 1) if i < len(x) and k - i < len(y))
+            for k in range(n)]
+
+
+def _series_reciprocal(x, n):
+    out = [1 / x[0]]
+    for k in range(1, n):
+        out.append(-sum(x[i] * out[k - i] for i in range(1, min(k, len(x) - 1) + 1)) / x[0])
+    return out
+
+
+def _derivative(x):
+    return [i * x[i] for i in range(1, len(x))]
+
+
+def _divided_by_eta(x):
+    # x / eta for a series with no constant term (checked to the working precision).
+    assert abs(x[0]) < 1e-40
+    return x[1:]
+
+
+def _temme_taylor(mp, rows, n):
+    """Taylor coefficients at eta = 0 of Temme's C_0..C_{rows-1}, of eps_1..eps_3
+    and of (lambda - 1)/eta, each to about n terms, in mpmath's precision."""
+    # mu = lambda - 1 as a series in eta: differentiating eta^2/2 = mu - ln(1 + mu)
+    # gives mu * mu' = eta * (1 + mu), solved term by term.
+    b = [mp.mpf(0), mp.mpf(1)]
+    for k in range(2, n + 3):
+        b.append((b[k - 1] - sum((k + 1 - i) * b[i] * b[k + 1 - i] for i in range(2, k)))
+                 / (k + 1))
+    f = _series_reciprocal(b[1:], n + 2)  # f = eta / mu
+    # Stirling coefficients: Gamma(a) ~ sqrt(2 pi / a) (a/e)^a sum_k g_k / a^k,
+    # the exponential of sum_m B_2m / (2m (2m - 1)) a^(1 - 2m).
+    log_g = [mp.mpf(0)] * rows
+    for m in range(1, rows // 2 + 1):
+        if 2 * m - 1 < rows:
+            log_g[2 * m - 1] = mp.bernoulli(2 * m) / (2 * m * (2 * m - 1))
+    g = [mp.mpf(1)]
+    for k in range(1, rows):
+        g.append(sum(i * log_g[i] * g[k - i] for i in range(1, k + 1)) / k)
+    # C_0 = 1/mu - 1/eta, and C_k = C_{k-1}'/eta + (-1)^k g_k / mu (DLMF 8.12.9-8.12.10).
+    c = [f[1:]]
+    for k in range(1, rows):
+        prev, sign = c[-1], (-1) ** k
+        assert abs(prev[1] + sign * g[k]) < 1e-40  # the 1/eta poles cancel
+        c.append([(j + 2) * prev[j + 2] + sign * g[k] * f[j + 1] for j in range(len(prev) - 2)])
+    # eps_k from the differential equation of the inversion (Temme 1992):
+    # ln(d eta / d eta0) = ln Gamma*(a) + a (eta^2 - eta0^2)/2 - ln f(eta), with
+    # eta = eta0 + sum_k eps_k(eta0) / a^k and ln Gamma*(a) = 1/(12 a) + O(a^-3).
+    m = n + 2
+    log_f = [mp.mpf(0)] + [v / (i + 1) for i, v in enumerate(
+        _series_product(_derivative(f), _series_reciprocal(f, m), m - 1))]
+    d1, d2 = _derivative(log_f), _derivative(_derivative(log_f))
+    e1 = _divided_by_eta(log_f)
+    e1d = _derivative(e1)
+    k = len(e1d)
+    e2 = _divided_by_eta([e1d[j] - (mp.mpf(1) / 12 if j == 0 else 0)
+                          - _series_product(e1, e1, k)[j] / 2
+                          + _series_product(d1, e1, k)[j] for j in range(k)])
+    k = len(e2) - 1
+    e1e1 = _series_product(e1, e1, k)
+    e3 = _divided_by_eta([_derivative(e2)[j] - _series_product(e1d, e1d, k)[j] / 2
+                          - _series_product(e1, e2, k)[j] + _series_product(d1, e2, k)[j]
+                          + _series_product(d2, e1e1, k)[j] / 2 for j in range(k)])
+    return c, (e1, e2, e3), b[1:]
+
+
+class TestTemmeCoefficients:
+    """Where the large-shape branch's constants come from: each is re-derived
+    in 40-digit arithmetic and compared with its committed value."""
+
+    @pytest.fixture(scope="class")
+    def derived(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            rows = len(numerics._TEMME_C) + 3
+            n = max(len(row) + 2 * k for k, row in enumerate(numerics._TEMME_C)) + 2 * 3 + 20
+            yield mp, *_temme_taylor(mp, rows, n)
+
+    @staticmethod
+    def _assert_matches(committed, derived):
+        # Committed rows are stored highest power first, for Horner's rule.
+        for n, value in enumerate(reversed(committed)):
+            assert value == pytest.approx(float(derived[n]), rel=1e-15, abs=0)
+
+    def test_uniform_expansion(self, derived):
+        _, c, _, _ = derived
+        for k, row in enumerate(numerics._TEMME_C):
+            self._assert_matches(row, c[k])
+        assert float(c[0][0]) == -1 / 3 and float(c[1][0]) == -1 / 540  # DLMF 8.12.11
+
+    def test_inversion(self, derived):
+        _, _, eps, mu = derived
+        for row, series in zip(numerics._TEMME_EPS, eps, strict=True):
+            self._assert_matches(row, series)
+        self._assert_matches(numerics._TEMME_MU, mu)
+        assert float(eps[1][0]) == -7 / 405 and float(eps[2][0]) == 449 / 102060
+
+    def test_rows_are_cut_below_double_precision(self, derived):
+        # At the edge of the branch, |eta| = 0.5 and a = 50, the committed
+        # truncation of sum_k C_k(eta) / a^k is within 1e-16 of the full series.
+        mp, c, _, _ = derived
+        a = mp.mpf(numerics._TEMME_SHAPE)
+        for eta in (-numerics._TEMME_ETA, numerics._TEMME_ETA):
+            eta = mp.mpf(eta)
+            full = sum(mp.polyval(row[::-1], eta) / a ** k for k, row in enumerate(c))
+            cut = sum(mp.polyval(row[:len(kept)][::-1], eta) / a ** k
+                      for k, (row, kept) in enumerate(zip(c, numerics._TEMME_C)))
+            assert abs(cut / full - 1) < 1e-16
 
 
 class TestNormalQuantile:
